@@ -76,21 +76,10 @@ def cmd_grid_check(args) -> int:
     return 0
 
 
-def _first_realization(pi: Permutation, m: GridMatrix):
-    work = m if pmm_signs(m) is not None else gridding.double(m)
-    signs_choices = tuple(gridding.iter_sign_vectors(work))
-    for gp in gridding.iter_griddings(pi, work):
-        for signs in signs_choices:
-            r = geometry.realize(gp, signs)
-            if r is not None:
-                return r
-    return None
-
-
 def cmd_geom_check(args) -> int:
     pi = _read_perm(args.perm)
     m = _read_matrix(args.matrix)
-    r = _first_realization(pi, m)
+    r = geometry.geom_witness(pi, m)
     if r is None:
         print("NOT a member of Geom(M)")
         return 1
@@ -152,7 +141,7 @@ def cmd_render(args) -> int:
         obj = gp
     elif args.target == "drawing":
         pi = _read_perm(args.perm)
-        r = _first_realization(pi, m)
+        r = geometry.geom_witness(pi, m)
         if r is None:
             print("NOT a member of Geom(M)")
             return 1

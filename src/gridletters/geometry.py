@@ -23,6 +23,7 @@ from .gridding import (
     GriddedPermutation,
     GridMatrix,
     SignedMatrix,
+    divisions_of_cells,
     double,
     iter_griddings,
     iter_sign_vectors,
@@ -203,18 +204,7 @@ def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
     yrank = {y: r + 1 for r, y in enumerate(sorted(ys))}
     values = tuple(yrank[ys[idx]] for idx in by_x)
     perm = Permutation(values)
-    col_counts = [0] * m.cols
-    row_counts = [0] * m.rows
-    for k, l in cells:
-        col_counts[k - 1] += 1
-        row_counts[l - 1] += 1
-    col_divs = [1]
-    for c in col_counts:
-        col_divs.append(col_divs[-1] + c)
-    row_divs = [1]
-    for c in row_counts:
-        row_divs.append(row_divs[-1] + c)
-    return GriddedPermutation(perm, m, tuple(col_divs), tuple(row_divs))
+    return GriddedPermutation(perm, m, *divisions_of_cells(cells, m.cols, m.rows))
 
 
 def check_realization(r: Realization) -> None:
@@ -300,6 +290,22 @@ def encode_gridded(gp: GriddedPermutation, signs: SignedMatrix) -> CellWord:
     return CellWord(gp.matrix, tuple(letters))
 
 
+def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
+    """A drawing of pi on the standard figure of the partial multiplication
+    form of m (doubling when m admits no signs), or None iff pi is not in
+    Geom(m): the first gridding in lexicographic order, with the first sign
+    vector in `iter_sign_vectors` order, whose local orders are consistent.
+    """
+    work = m if pmm_signs(m) is not None else double(m)
+    sign_choices = tuple(iter_sign_vectors(work))
+    for gp in iter_griddings(pi, work):
+        for signs in sign_choices:
+            r = realize(gp, signs)
+            if r is not None:
+                return r
+    return None
+
+
 def geom_member(pi: Permutation, m: GridMatrix) -> bool:
     """Membership in Geom(m): some gridding by the partial multiplication
     form of m (doubling when m admits no signs) has consistent local orders.
@@ -309,13 +315,7 @@ def geom_member(pi: Permutation, m: GridMatrix) -> bool:
     >>> geom_member(parse_permutation("3142"), from_display_rows([(-1, 1), (1, -1)]))
     False
     """
-    work = m if pmm_signs(m) is not None else double(m)
-    sign_choices = tuple(iter_sign_vectors(work))
-    for gp in iter_griddings(pi, work):
-        for signs in sign_choices:
-            if consistency(local_orders(gp, signs)) is not None:
-                return True
-    return False
+    return geom_witness(pi, m) is not None
 
 
 def derive_decoder(signs: SignedMatrix) -> frozenset[tuple[Cell, Cell]]:
@@ -386,19 +386,6 @@ def embed_in_universal(
     def row_target(l: int) -> int:
         return 2 * l - 1 if signs.row_signs[l - 1] == 1 else 2 * l
 
-    col_counts = [0] * (2 * a)
-    for k in range(1, gp.matrix.cols + 1):
-        col_counts[col_target(k) - 1] = len(gp.entries_in_column(k))
-    row_counts = [0] * (2 * b)
-    for l in range(1, gp.matrix.rows + 1):
-        row_counts[row_target(l) - 1] = len(gp.entries_in_row(l))
-    col_divs = [1]
-    for c in col_counts:
-        col_divs.append(col_divs[-1] + c)
-    row_divs = [1]
-    for c in row_counts:
-        row_divs.append(row_divs[-1] + c)
-    return (
-        GriddedPermutation(gp.perm, s, tuple(col_divs), tuple(row_divs)),
-        s_signed,
-    )
+    n = len(gp.perm)
+    cells = [(col_target(k), row_target(l)) for k, l in map(gp.cell_of, range(1, n + 1))]
+    return GriddedPermutation(gp.perm, s, *divisions_of_cells(cells, 2 * a, 2 * b)), s_signed

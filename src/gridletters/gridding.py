@@ -9,13 +9,16 @@ A gridding of a permutation of length n is a pair of nondecreasing division
 tuples x_1 = 1 <= ... <= x_{t+1} = n+1 and y_1 = 1 <= ... <= y_{u+1} = n+1;
 the entries with positions in [x_k, x_{k+1}) and values in [y_l, y_{l+1})
 must be increasing, decreasing, or absent as the matrix entry dictates.
+
+Griddings are searched in lexicographic order, with row cuts bounded by how
+far up the values each row can reach (see `iter_griddings`).
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import Permutation, contains, parse_permutation
 
@@ -194,13 +197,80 @@ def _division_tuples(n: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield (1,) + interior + (n + 1,)
 
 
+def divisions_of_cells(
+    cells: Iterable[tuple[int, int]], t: int, u: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Column and row division tuples of the t x u gridding with one entry
+    in each listed cell (in any order).
+
+    >>> divisions_of_cells([(1, 2), (3, 2), (3, 1)], 3, 2)
+    ((1, 2, 2, 4), (1, 2, 4))
+    """
+    col_counts, row_counts = [0] * t, [0] * u
+    for k, l in cells:
+        col_counts[k - 1] += 1
+        row_counts[l - 1] += 1
+    return (
+        tuple(itertools.accumulate(col_counts, initial=1)),
+        tuple(itertools.accumulate(row_counts, initial=1)),
+    )
+
+
+def _row_divisions(
+    m: GridMatrix, position: Sequence[int], column: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Valid row divisions, lexicographically, given each value's column and position."""
+    n, u = len(position) - 1, m.rows
+    memo: dict[tuple[int, int], int] = {}
+
+    def reach(l: int, a: int) -> int:
+        if (l, a) not in memo:
+            last = [0] * (m.cols + 1)  # per column, position of the last value
+            b = a
+            while b <= n:
+                k, q = column[b], position[b]
+                s, p = m.entries[k - 1][l - 1], last[k]
+                if s == 0 or (p and (q - p) * s < 0):
+                    break
+                last[k] = q
+                b += 1
+            memo[l, a] = b
+        return memo[l, a]
+
+    def cuts(l: int, a: int) -> Iterator[tuple[int, ...]]:
+        # Divisions (y_l = a, ..., y_{u+1} = n+1) letting rows l..u cover a..n.
+        top = a
+        for r in range(l, u + 1):
+            top = reach(r, top)
+        if top != n + 1:
+            return
+        if l > u:
+            yield (a,)
+            return
+        for b in range(a, reach(l, a) + 1):
+            for rest in cuts(l + 1, b):
+                yield (a,) + rest
+
+    return cuts(1, 1)
+
+
 def iter_griddings(pi: Permutation, m: GridMatrix) -> Iterator[GriddedPermutation]:
-    """All valid griddings in lexicographic division order."""
-    n = len(pi)
-    for cdivs in _division_tuples(n, m.cols):
-        for rdivs in _division_tuples(n, m.rows):
-            if _cells_ok(pi, m, cdivs, rdivs):
-                yield GriddedPermutation(pi, m, cdivs, rdivs)
+    """All valid griddings, lazily, in lexicographic (col_divs, row_divs) order.
+
+    Column division tuples are enumerated; each fixes every entry's column,
+    and the row cuts are then chosen by a depth-first search in increasing
+    order bounded by reach(l, a): the largest b such that values a..b-1 fit
+    row l, each in a nonzero cell that it keeps monotone (O(1) per value, as
+    values arrive in increasing order).  Fitting a row is hereditary, so
+    rows l..u can still cover a..n iff reach(u, ... reach(l, a)) = n+1, and
+    every cut failing that is pruned.  A column tuple costs O(u n^2) at
+    most, plus output, where checking every row tuple costs O(n^(u-1) n).
+    """
+    position = [0] + [pi.position_of(v) for v in range(1, len(pi) + 1)]
+    for cdivs in _division_tuples(len(pi), m.cols):
+        column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
+        for rdivs in _row_divisions(m, position, column):
+            yield GriddedPermutation(pi, m, cdivs, rdivs)
 
 
 def find_gridding(pi: Permutation, m: GridMatrix) -> Optional[GriddedPermutation]:
@@ -237,17 +307,13 @@ def _reverse_matching_pattern(m: int) -> Permutation:
 def matching_pattern_witness(pi: Permutation) -> tuple[int, int]:
     """Largest m with 2143...(2m)(2m-1) contained in pi, and likewise for
     the reversed pattern (2m-1)(2m)...3412."""
-    best_fwd = 0
-    m = 1
-    while 2 * m <= len(pi) and contains(pi, _matching_pattern(m)):
-        best_fwd = m
-        m += 1
-    best_rev = 0
-    m = 1
-    while 2 * m <= len(pi) and contains(pi, _reverse_matching_pattern(m)):
-        best_rev = m
-        m += 1
-    return best_fwd, best_rev
+    best = []
+    for pattern in (_matching_pattern, _reverse_matching_pattern):
+        m = 0
+        while 2 * (m + 1) <= len(pi) and contains(pi, pattern(m + 1)):
+            m += 1
+        best.append(m)
+    return best[0], best[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,43 +338,10 @@ def pmm_signs(m: GridMatrix) -> Optional[SignedMatrix]:
     """Column and row signs factoring every nonzero entry, or None.
 
     Signs propagate from the least unassigned column (then row) of each
-    connected component, seeded +1, so the answer is deterministic; free
-    rows and columns get +1.
+    connected component, seeded +1, so the answer is deterministic (the
+    first of `iter_sign_vectors`); free rows and columns get +1.
     """
-    t, u = m.cols, m.rows
-    signs: list[Optional[int]] = [None] * (t + u)  # columns then rows
-
-    def neighbors(node: int):
-        if node < t:
-            k = node + 1
-            for l in range(1, u + 1):
-                e = m.entry(k, l)
-                if e != 0:
-                    yield t + l - 1, e
-        else:
-            l = node - t + 1
-            for k in range(1, t + 1):
-                e = m.entry(k, l)
-                if e != 0:
-                    yield k - 1, e
-
-    for seed in range(t + u):
-        if signs[seed] is not None:
-            continue
-        signs[seed] = 1
-        queue = [seed]
-        while queue:
-            node = queue.pop(0)
-            for other, e in neighbors(node):
-                want = e * signs[node]
-                if signs[other] is None:
-                    signs[other] = want
-                    queue.append(other)
-                elif signs[other] != want:
-                    return None
-    col_signs = tuple(signs[:t])
-    row_signs = tuple(signs[t:])
-    return SignedMatrix(m, col_signs, row_signs)
+    return next(iter_sign_vectors(m), None)
 
 
 def iter_sign_vectors(m: GridMatrix) -> Iterator[SignedMatrix]:
@@ -318,36 +351,36 @@ def iter_sign_vectors(m: GridMatrix) -> Iterator[SignedMatrix]:
     global flip; untouched rows and columns are fully free.  Yields nothing
     when m is not a partial multiplication matrix.
     """
-    base = pmm_signs(m)
-    if base is None:
-        return
     t, u = m.cols, m.rows
+    signs: list[Optional[int]] = [None] * (t + u)  # columns then rows
     component = [-1] * (t + u)
+
+    def neighbors(node: int) -> list[tuple[int, int]]:
+        if node < t:
+            return [(t + l, e) for l, e in enumerate(m.entries[node]) if e]
+        return [(k, col[node - t]) for k, col in enumerate(m.entries) if col[node - t]]
+
     comp_count = 0
     for seed in range(t + u):
-        if component[seed] != -1:
+        if signs[seed] is not None:
             continue
+        signs[seed] = 1
         component[seed] = comp_count
         queue = [seed]
         while queue:
             node = queue.pop(0)
-            if node < t:
-                k = node + 1
-                links = [
-                    t + l - 1 for l in range(1, u + 1) if m.entry(k, l) != 0
-                ]
-            else:
-                l = node - t + 1
-                links = [k - 1 for k in range(1, t + 1) if m.entry(k, l) != 0]
-            for other in links:
-                if component[other] == -1:
+            for other, e in neighbors(node):
+                want = e * signs[node]
+                if signs[other] is None:
+                    signs[other] = want
                     component[other] = comp_count
                     queue.append(other)
+                elif signs[other] != want:
+                    return
         comp_count += 1
-    base_signs = list(base.col_signs + base.row_signs)
     for flips in itertools.product((1, -1), repeat=comp_count):
-        signs = [base_signs[i] * flips[component[i]] for i in range(t + u)]
-        yield SignedMatrix(m, tuple(signs[:t]), tuple(signs[t:]))
+        flipped = [signs[i] * flips[component[i]] for i in range(t + u)]
+        yield SignedMatrix(m, tuple(flipped[:t]), tuple(flipped[t:]))
 
 
 def double(m: GridMatrix) -> GridMatrix:

@@ -20,6 +20,7 @@ from typing import Optional
 from . import geometry, letters, oracle
 from .geometry import Cell, Point, Realization
 from .gridding import GriddedPermutation, GridMatrix, SignedMatrix, find_gridding
+from .gridding import divisions_of_cells
 from .letters import Letterization
 from .perm import Permutation, inversion_graph
 
@@ -384,18 +385,8 @@ def geometrize(pi: Permutation, m: GridMatrix, k_max: int) -> GeometrizeResult:
         raise PipelineError("local orders of the regridded permutation are inconsistent")
 
     cells, points = _inflate_points(sigma_real, passes)
-    col_counts = [0] * signed.matrix.cols
-    row_counts = [0] * signed.matrix.rows
-    for k, l in cells:
-        col_counts[k - 1] += 1
-        row_counts[l - 1] += 1
-    col_divs = [1]
-    for c in col_counts:
-        col_divs.append(col_divs[-1] + c)
-    row_divs = [1]
-    for c in row_counts:
-        row_divs.append(row_divs[-1] + c)
-    final_gp = GriddedPermutation(pi, signed.matrix, tuple(col_divs), tuple(row_divs))
+    t, u = signed.matrix.cols, signed.matrix.rows
+    final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
     realization = Realization(final_gp, signed, points)
     geometry.check_realization(realization)
     return GeometrizeResult(

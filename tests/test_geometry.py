@@ -14,6 +14,7 @@ from gridletters.geometry import (
     encode_gridded,
     format_cell_word,
     geom_member,
+    geom_witness,
     local_orders,
     parse_cell_word,
     read_points,
@@ -24,6 +25,7 @@ from gridletters.geometry import (
 from gridletters.gridding import (
     GriddedPermutation,
     all_griddings,
+    double,
     grid_matrix,
     iter_sign_vectors,
     pmm_signs,
@@ -35,6 +37,10 @@ P = parse_permutation
 # Encoding of the worked 6437251 gridding along the distance order
 # 4 1 7 6 5 2 3: word position p holds the cell of entry psi_inverse(p).
 FIG_WORD = ((2, 2), (1, 2), (3, 1), (3, 2), (3, 1), (1, 2), (2, 1))
+
+
+def perms_of(n):
+    return (Permutation(v) for v in itertools.permutations(range(1, n + 1)))
 
 
 @pytest.fixture()
@@ -244,6 +250,44 @@ class TestGeomMember:
 
     def test_empty_permutation(self, x_matrix):
         assert geom_member(P(""), x_matrix)
+
+    def test_members_are_the_decoded_cell_words(
+        self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix
+    ):
+        # Geom(M) of length n is exactly the set of permutations drawn by
+        # the cell words of length n (Albert, Atkinson, Bouvel, Ruskuc and
+        # Vatter 2013); decoding words runs no gridding search.
+        for m, n_max in ((x_matrix, 6), (v_matrix, 6), (fan_matrix, 6), (non_pmm_matrix, 4)):
+            work = double(m) if pmm_signs(m) is None else m
+            signs = pmm_signs(work)
+            for n in range(n_max + 1):
+                decoded = {
+                    decode_word(CellWord(work, letters), signs).perm
+                    for letters in itertools.product(work.nonzero_cells(), repeat=n)
+                }
+                accepted = {pi for pi in perms_of(n) if geom_member(pi, m)}
+                assert accepted == decoded, (m, n)
+
+    def test_witness_realizes_first_consistent_gridding(self, x_matrix, non_pmm_matrix):
+        for m in (x_matrix, non_pmm_matrix):
+            work = double(m) if pmm_signs(m) is None else m
+            for n in range(6):
+                for pi in perms_of(n):
+                    first = next(
+                        (
+                            (gp, signs)
+                            for gp in all_griddings(pi, work)
+                            for signs in iter_sign_vectors(work)
+                            if consistency(local_orders(gp, signs)) is not None
+                        ),
+                        None,
+                    )
+                    r = geom_witness(pi, m)
+                    if first is None:
+                        assert r is None, pi
+                    else:
+                        assert (r.gridded, r.signs) == first, pi
+                        check_realization(r)
 
     def test_order_preservation_of_decoding(self, v_matrix, x_matrix):
         # Subwords decode to contained permutations.

@@ -33,14 +33,15 @@ def brute_griddings(pi, m):
     """Independent enumeration: every division pair, checked pairwise."""
     n = len(pi)
 
-    def interiors(parts):
-        return itertools.combinations_with_replacement(range(1, n + 2), parts - 1)
+    def divisions(parts):
+        if parts == 0:
+            return [(1,)] if n == 0 else []
+        cuts = itertools.combinations_with_replacement(range(1, n + 2), parts - 1)
+        return [(1,) + c + (n + 1,) for c in cuts]
 
     found = []
-    for ci in interiors(m.cols):
-        cdivs = (1,) + ci + (n + 1,)
-        for ri in interiors(m.rows):
-            rdivs = (1,) + ri + (n + 1,)
+    for cdivs in divisions(m.cols):
+        for rdivs in divisions(m.rows):
             ok = True
             for i in range(1, n + 1):
                 k = max(a + 1 for a in range(m.cols) if cdivs[a] <= i)
@@ -102,11 +103,37 @@ class TestFindGridding:
     def test_3142_is_x_griddable(self, x_matrix):
         assert find_gridding(P("3142"), x_matrix) is not None
 
-    def test_agrees_with_brute_force(self, x_matrix, v_matrix):
-        for m in (x_matrix, v_matrix):
-            for pi in perms_of(4):
-                got = [(g.col_divs, g.row_divs) for g in all_griddings(pi, m)]
-                assert got == brute_griddings(pi, m)
+    def test_agrees_with_brute_force(self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix):
+        def check(pi, m):
+            got = [(g.col_divs, g.row_divs) for g in all_griddings(pi, m)]
+            assert got == brute_griddings(pi, m), (pi, m)
+
+        alternating = from_display_rows([(1, -1, 1), (-1, 1, -1), (1, -1, 1)])
+        zero_row = from_display_rows([(1, -1), (0, 0), (-1, 1)])
+        zero_col = from_display_rows([(-1, 0, 1), (1, 0, -1)])
+        cases = [
+            (x_matrix, 6),
+            (v_matrix, 6),
+            (fan_matrix, 5),
+            (non_pmm_matrix, 6),
+            (double(non_pmm_matrix), 4),
+            (alternating, 5),
+            (universal_matrix(1, 2), 5),
+            (zero_row, 5),
+            (zero_col, 5),
+            (from_display_rows([]), 3),
+        ]
+        for m, n_max in cases:
+            for n in range(n_max + 1):
+                for pi in perms_of(n):
+                    check(pi, m)
+
+        @given(st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
+        @settings(max_examples=15, deadline=None)
+        def sampled(values):
+            check(Permutation(tuple(values)), universal_matrix(2, 2))
+
+        sampled()
 
     def test_empty_permutation(self, x_matrix):
         gp = find_gridding(P(""), x_matrix)
