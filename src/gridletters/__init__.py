@@ -10,7 +10,13 @@ conversion), oracle (brute-force cross-checks), render and cli.
 
 from .perm import Permutation, parse_permutation, inversion_graph, contains
 from .graphs import SimpleGraph, graph, parse_graph
-from .letters import Letterization, decode_letter_graph, find_lettering, lettericity
+from .letters import (
+    LetteringCache,
+    Letterization,
+    decode_letter_graph,
+    find_lettering,
+    lettericity,
+)
 from .gridding import (
     GriddedPermutation,
     GridMatrix,
@@ -40,6 +46,7 @@ __all__ = [
     "Permutation",
     "SimpleGraph",
     "Letterization",
+    "LetteringCache",
     "GridMatrix",
     "GriddedPermutation",
     "SignedMatrix",

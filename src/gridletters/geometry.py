@@ -14,6 +14,7 @@ cell is the corner both orientations point away from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 from collections import defaultdict
 from fractions import Fraction
@@ -26,7 +27,6 @@ from .gridding import (
     divisions_of_cells,
     double,
     iter_griddings,
-    iter_sign_vectors,
     pmm_signs,
     universal_matrix,
 )
@@ -293,16 +293,20 @@ def encode_gridded(gp: GriddedPermutation, signs: SignedMatrix) -> CellWord:
 def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     """A drawing of pi on the standard figure of the partial multiplication
     form of m (doubling when m admits no signs), or None iff pi is not in
-    Geom(m): the first gridding in lexicographic order, with the first sign
-    vector in `iter_sign_vectors` order, whose local orders are consistent.
+    Geom(m): the first gridding in lexicographic order whose local orders
+    are consistent, drawn with `pmm_signs`.
+
+    One sign vector suffices.  Each entry's column and row lie in one
+    connected component of the nonzero pattern, so the local orders split
+    by component, and another sign vector only reverses every chain of some
+    components, which keeps the union acyclic or not.
     """
     work = m if pmm_signs(m) is not None else double(m)
-    sign_choices = tuple(iter_sign_vectors(work))
+    signs = pmm_signs(work)
     for gp in iter_griddings(pi, work):
-        for signs in sign_choices:
-            r = realize(gp, signs)
-            if r is not None:
-                return r
+        r = realize(gp, signs)
+        if r is not None:
+            return r
     return None
 
 
@@ -358,6 +362,15 @@ def derive_decoder(signs: SignedMatrix) -> frozenset[tuple[Cell, Cell]]:
     return frozenset(decoder)
 
 
+@functools.lru_cache(maxsize=8)
+def _universal_signed(t: int, u: int) -> SignedMatrix:
+    """The universal matrix of t x u blocks with its signs: even columns and
+    odd rows read forwards.  Built and validated once per shape."""
+    col_signs = tuple((-1) ** k for k in range(1, 2 * t + 1))
+    row_signs = tuple((-1) ** (l - 1) for l in range(1, 2 * u + 1))
+    return SignedMatrix(universal_matrix(t, u), col_signs, row_signs)
+
+
 def embed_in_universal(
     gp: GriddedPermutation,
     signs: SignedMatrix,
@@ -375,10 +388,8 @@ def embed_in_universal(
     b = gp.matrix.rows if u is None else u
     if a < gp.matrix.cols or b < gp.matrix.rows:
         raise ValueError("universal target smaller than the gridding matrix")
-    s = universal_matrix(a, b)
-    col_signs = tuple((-1) ** k for k in range(1, 2 * a + 1))
-    row_signs = tuple((-1) ** (l - 1) for l in range(1, 2 * b + 1))
-    s_signed = SignedMatrix(s, col_signs, row_signs)
+    s_signed = _universal_signed(a, b)
+    s = s_signed.matrix
 
     def col_target(k: int) -> int:
         return 2 * k if signs.col_signs[k - 1] == 1 else 2 * k - 1

@@ -63,6 +63,16 @@ def adjacency_masks(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def invariant_key(g: SimpleGraph) -> tuple[int, int, tuple[int, ...]]:
+    """Order, edge count and sorted degrees: equal for isomorphic graphs.
+
+    >>> invariant_key(family("path", 3))
+    (3, 2, (1, 1, 2))
+    """
+    degrees = sorted(bin(mask).count("1") for mask in adjacency_masks(g))
+    return g.order, len(g.edges), tuple(degrees)
+
+
 def complement(g: SimpleGraph) -> SimpleGraph:
     """Same vertices, complementary edge set.
 
@@ -192,11 +202,6 @@ def find_isomorphism(
     if not extend(0):
         return None
     return tuple(m + 1 for m in mapping)
-
-
-def is_isomorphic(g: SimpleGraph, h: SimpleGraph) -> Optional[tuple[int, ...]]:
-    """Alias for find_isomorphism; None means the graphs are not isomorphic."""
-    return find_isomorphism(g, h)
 
 
 def _bits(mask: int):

@@ -8,6 +8,12 @@ letter renaming and then backtracks over (position, letter, vertex)
 placements; a vertex can sit at the next position with letter x only if its
 adjacency into the placed set is exactly the set that the decoder forces
 for letter x.  That single invariant is what makes the search feasible.
+
+Whether a word exists for a given (alphabet size, decoder) depends only on
+the isomorphism class of the graph, so `LetteringCache` keeps, per class,
+how far the size search has gone and the first (size, decoder) that
+succeeded; a later graph of the class reruns only that one word search.
+`find_lettering` and `lettericity` are the same lookups on a fresh cache.
 """
 from __future__ import annotations
 
@@ -202,6 +208,86 @@ def _search_word(
     return tuple(word), tuple(iso)
 
 
+@dataclasses.dataclass
+class _ClassRecord:
+    """Search progress for one isomorphism class: every size up to `tried`
+    has no witness; `witness` is the first succeeding (size, decoder)."""
+
+    rep: SimpleGraph
+    tried: int = 0
+    witness: Optional[tuple[int, frozenset[tuple[int, int]]]] = None
+
+
+class LetteringCache:
+    """Least letterings, with the search shared across isomorphic graphs.
+
+    Classes are bucketed by `graphs.invariant_key` and confirmed with
+    `graphs.find_isomorphism`.  Answers are exactly those of a search on the
+    graph itself: a known witness (size, decoder) is rerun on the queried
+    graph, so its word and iso are the graph's own.  A cache is plain
+    per-caller state; share one only within one thread.
+    """
+
+    def __init__(self):
+        self._buckets: dict[tuple, list[_ClassRecord]] = {}
+
+    def _record(self, g: SimpleGraph) -> _ClassRecord:
+        bucket = self._buckets.setdefault(graphs.invariant_key(g), [])
+        for rec in bucket:
+            if graphs.find_isomorphism(g, rec.rep) is not None:
+                return rec
+        rec = _ClassRecord(g)
+        bucket.append(rec)
+        return rec
+
+    def _resume(
+        self, g: SimpleGraph, rec: _ClassRecord, k: int
+    ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        # Continue the ascending size search of g's class, up to k letters.
+        for size in range(rec.tried + 1, min(k, g.order) + 1):
+            for decoder in canonical_decoders(size):
+                found = _search_word(g, size, decoder)
+                if found is not None:
+                    rec.witness = (size, decoder)
+                    return found
+            rec.tried = size
+        return None
+
+    def find_lettering(self, g: SimpleGraph, k: int) -> Optional[Letterization]:
+        """Same contract and result as the module-level `find_lettering`."""
+        if k < 1:
+            raise ValueError("need k >= 1")
+        if g.order == 0:
+            return Letterization((), frozenset(), (), ())
+        rec = self._record(g)
+        if rec.witness is None:
+            found = self._resume(g, rec, k)
+            if found is None:
+                return None
+        elif rec.witness[0] > k:
+            return None
+        else:
+            found = _search_word(g, *rec.witness)
+        size, decoder = rec.witness
+        word_ints, iso = found
+        return Letterization(
+            alphabet=tuple(LETTER_SYMBOLS[:size]),
+            decoder=frozenset((LETTER_SYMBOLS[i], LETTER_SYMBOLS[j]) for i, j in decoder),
+            word=tuple(LETTER_SYMBOLS[i] for i in word_ints),
+            iso=iso,
+        )
+
+    def lettericity(self, g: SimpleGraph) -> int:
+        """Same result as the module-level `lettericity`."""
+        if g.order == 0:
+            return 0
+        rec = self._record(g)
+        if rec.witness is None:
+            self._resume(g, rec, g.order)
+        assert rec.witness is not None
+        return rec.witness[0]
+
+
 def find_lettering(g: SimpleGraph, k: int) -> Optional[Letterization]:
     """A lettering of g over at most k letters, or None if none exists.
 
@@ -209,42 +295,19 @@ def find_lettering(g: SimpleGraph, k: int) -> Optional[Letterization]:
     their canonical order with words lexicographically, so the result is the
     least (decoder, word) witness and its alphabet size is minimal.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if g.order == 0:
-        return Letterization((), frozenset(), (), ())
-    for size in range(1, min(k, g.order) + 1):
-        for decoder in canonical_decoders(size):
-            found = _search_word(g, size, decoder)
-            if found is None:
-                continue
-            word_ints, iso = found
-            alphabet = tuple(LETTER_SYMBOLS[:size])
-            return Letterization(
-                alphabet=alphabet,
-                decoder=frozenset(
-                    (LETTER_SYMBOLS[i], LETTER_SYMBOLS[j]) for i, j in decoder
-                ),
-                word=tuple(LETTER_SYMBOLS[i] for i in word_ints),
-                iso=iso,
-            )
-    return None
+    return LetteringCache().find_lettering(g, k)
 
 
 def lettericity(g: SimpleGraph) -> int:
     """Least k such that g admits a k-lettering.
 
     Every graph on n >= 1 vertices has an n-lettering, so the ascending
-    search in find_lettering always terminates.
+    search always terminates.
 
     >>> lettericity(graphs.family("mK2", 2))
     2
     """
-    if g.order == 0:
-        return 0
-    found = find_lettering(g, g.order)
-    assert found is not None
-    return len(found.alphabet)
+    return LetteringCache().lettericity(g)
 
 
 def verify_letterization(g: SimpleGraph, lz: Letterization) -> bool:

@@ -9,6 +9,9 @@ cell, slice the gridding just outside each letter's rectangular hull,
 orient the resulting columns and rows by the letters' reading orders, and
 realize.  The output matrix is a partial multiplication matrix of size at
 most t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
+
+Letterings come from a `letters.LetteringCache`, which `class_experiment`
+shares across its whole sweep; `geometrize` accepts one for the same reuse.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from . import geometry, letters, oracle
 from .geometry import Cell, Point, Realization
 from .gridding import GriddedPermutation, GridMatrix, SignedMatrix, find_gridding
 from .gridding import divisions_of_cells
-from .letters import Letterization
+from .letters import LetteringCache, Letterization
 from .perm import Permutation, inversion_graph
 
 RefinedLetter = tuple[str, int, int]
@@ -355,9 +358,17 @@ class GeometrizeResult:
     initial_gridding: GriddedPermutation
 
 
-def geometrize(pi: Permutation, m: GridMatrix, k_max: int) -> GeometrizeResult:
+def geometrize(
+    pi: Permutation,
+    m: GridMatrix,
+    k_max: int,
+    cache: Optional[LetteringCache] = None,
+) -> GeometrizeResult:
     """Produce a geometric gridding of pi by a bounded partial multiplication
     matrix, given a monotone gridding matrix and a letter budget.
+
+    The lettering comes from `cache` (a fresh one when omitted); the answer
+    is the same either way, a shared cache only saves repeated searches.
 
     Raises NotGriddableError when pi has no m-gridding and
     LetteringNotFoundError when the contracted inversion graph admits no
@@ -368,7 +379,9 @@ def geometrize(pi: Permutation, m: GridMatrix, k_max: int) -> GeometrizeResult:
         raise NotGriddableError(f"{pi} has no gridding by the given matrix")
     sigma_gp, passes = contract_gridded(gp0)
     sigma = sigma_gp.perm
-    lz = letters.find_lettering(inversion_graph(sigma), k_max)
+    if cache is None:
+        cache = LetteringCache()
+    lz = cache.find_lettering(inversion_graph(sigma), k_max)
     if lz is None:
         raise LetteringNotFoundError(
             f"inversion graph of {sigma} has no lettering with {k_max} letters"
@@ -465,25 +478,6 @@ class ExperimentReport:
         )
 
 
-class _LettericityCache:
-    """Lettericity keyed by isomorphism class, via invariant buckets."""
-
-    def __init__(self):
-        self.buckets: dict[tuple, list[tuple[object, int]]] = {}
-
-    def get(self, g) -> int:
-        from . import graphs
-
-        key = (g.order, len(g.edges), tuple(sorted(g.degree(v) for v in range(1, g.order + 1))))
-        bucket = self.buckets.setdefault(key, [])
-        for rep, value in bucket:
-            if graphs.find_isomorphism(g, rep) is not None:
-                return value
-        value = letters.lettericity(g)
-        bucket.append((g, value))
-        return value
-
-
 def class_experiment(
     n_max: int,
     m: GridMatrix,
@@ -494,10 +488,12 @@ def class_experiment(
     inversion graph has lettericity at most r, verifying the size bound,
     membership in the output matrix, and membership in the universal matrix
     of the bound dimensions.  Failures become report rows, never crashes.
+    One `LetteringCache` serves the lettericity filter and every geometrize
+    call, so each isomorphism class of inversion graphs is searched once.
     """
     t, u = m.cols, m.rows
     bound_cols, bound_rows = t * (1 + 2 * u * r), u * (1 + 2 * t * r)
-    cache = _LettericityCache()
+    cache = LetteringCache()
     rows: list[ExperimentRow] = []
     scanned = 0
     skipped_ungriddable = 0
@@ -509,12 +505,12 @@ def class_experiment(
             if find_gridding(pi, m) is None:
                 skipped_ungriddable += 1
                 continue
-            lett = cache.get(inversion_graph(pi))
+            lett = cache.lettericity(inversion_graph(pi))
             if lett > r:
                 skipped_lettericity += 1
                 continue
             try:
-                result = geometrize(pi, m, r)
+                result = geometrize(pi, m, r, cache)
             except PipelineError as exc:
                 rows.append(
                     ExperimentRow(pi, lett, 0, 0, False, False, False, None, str(exc))

@@ -25,6 +25,7 @@ from gridletters.graphs import (
     family,
     find_isomorphism,
     graph,
+    invariant_key,
     is_threshold,
 )
 from gridletters.gridding import (
@@ -59,12 +60,7 @@ def perms_of(n):
 def iso_classes(graphs_iterable):
     buckets = {}
     for g in graphs_iterable:
-        key = (
-            g.order,
-            len(g.edges),
-            tuple(sorted(g.degree(v) for v in range(1, g.order + 1))),
-        )
-        reps = buckets.setdefault(key, [])
+        reps = buckets.setdefault(invariant_key(g), [])
         if not any(find_isomorphism(g, rep) for rep in reps):
             reps.append(g)
     return [g for reps in buckets.values() for g in reps]

@@ -26,6 +26,7 @@ from gridletters.gridding import (
     GriddedPermutation,
     all_griddings,
     double,
+    from_display_rows,
     grid_matrix,
     iter_sign_vectors,
     pmm_signs,
@@ -288,6 +289,24 @@ class TestGeomMember:
                     else:
                         assert (r.gridded, r.signs) == first, pi
                         check_realization(r)
+
+    def test_consistency_does_not_depend_on_the_sign_vector(
+        self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix
+    ):
+        # Why geom_witness draws every gridding with pmm_signs alone.  The
+        # last matrix has two components, so it has four sign vectors.
+        x_plus_cell = from_display_rows([(0, 0, 1), (-1, 1, 0), (1, -1, 0)])
+        for m in (x_matrix, v_matrix, fan_matrix, double(non_pmm_matrix), x_plus_cell):
+            sign_choices = list(iter_sign_vectors(m))
+            assert len(sign_choices) >= 2
+            for n in range(6):
+                for pi in perms_of(n):
+                    for gp in all_griddings(pi, m):
+                        verdicts = {
+                            consistency(local_orders(gp, signs)) is None
+                            for signs in sign_choices
+                        }
+                        assert len(verdicts) == 1, (pi, gp)
 
     def test_order_preservation_of_decoding(self, v_matrix, x_matrix):
         # Subwords decode to contained permutations.

@@ -4,8 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridletters.graphs import complement, family, find_isomorphism, graph, induced_subgraph
+from gridletters.graphs import (
+    complement,
+    family,
+    find_isomorphism,
+    graph,
+    induced_subgraph,
+    invariant_key,
+)
 from gridletters.letters import (
+    LETTER_SYMBOLS,
+    LetteringCache,
+    Letterization,
+    _search_word,
     canonical_decoders,
     complement_decoder,
     decode_letter_graph,
@@ -17,6 +28,8 @@ from gridletters.letters import (
     parse_word,
     verify_letterization,
 )
+from gridletters.oracle import lettericity_oracle
+from gridletters.perm import Permutation, inversion_graph
 
 THRESHOLD_DECODER = {("i", "d"), ("d", "d")}
 
@@ -170,6 +183,60 @@ class TestLettericity:
 
     def test_empty_graph(self):
         assert lettericity(graph(0)) == 0
+
+
+def direct_lettering(g, k):
+    """The uncached search: sizes ascending, canonical decoders in order,
+    the first word search that succeeds."""
+    if g.order == 0:
+        return Letterization((), frozenset(), (), ())
+    for size in range(1, min(k, g.order) + 1):
+        for decoder in canonical_decoders(size):
+            found = _search_word(g, size, decoder)
+            if found is not None:
+                word, iso = found
+                return Letterization(
+                    tuple(LETTER_SYMBOLS[:size]),
+                    frozenset((LETTER_SYMBOLS[a], LETTER_SYMBOLS[b]) for a, b in decoder),
+                    tuple(LETTER_SYMBOLS[x] for x in word),
+                    iso,
+                )
+    return None
+
+
+class TestLetteringCache:
+    def test_shared_cache_matches_direct_search_and_oracle(self):
+        # One cache over the whole stream: the k = 1, 3, 2 queries make
+        # misses, exhausted sizes, resumed searches and hits on isomorphic
+        # repeats under relabelling.
+        stream = [g for n in range(6) for g in small_graphs(n)]
+        stream += [
+            inversion_graph(Permutation(values))
+            for n in range(1, 7)
+            for values in itertools.permutations(range(1, n + 1))
+        ]
+        oracle_reps = {}  # lettericity_oracle once per isomorphism class
+
+        def oracle(g):
+            reps = oracle_reps.setdefault(invariant_key(g), [])
+            for rep, value in reps:
+                if find_isomorphism(g, rep) is not None:
+                    return value
+            reps.append((g, lettericity_oracle(g)))
+            return reps[-1][1]
+
+        cache = LetteringCache()
+        for g in stream:
+            # Sizes ascend, so the k = 3 answer fixes those for k = 1, 2.
+            least = direct_lettering(g, 3)
+            for k in (1, 3, 2):
+                expected = least if least and len(least.alphabet) <= k else None
+                assert cache.find_lettering(g, k) == expected, (g, k)
+            assert cache.lettericity(g) == oracle(g), g
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError):
+            LetteringCache().find_lettering(family("path", 3), 0)
 
 
 class TestCanonicalDecoders:

@@ -1,16 +1,23 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from gridletters import geometry, letters
 from gridletters.geometry import consistency, geom_member, local_orders
-from gridletters.gridding import GriddedPermutation, find_gridding, grid_matrix
-from gridletters.letters import Letterization, decode_letter_graph, find_lettering
+from gridletters.gridding import GriddedPermutation, find_gridding, grid_matrix, iter_griddings
+from gridletters.letters import (
+    LetteringCache,
+    Letterization,
+    decode_letter_graph,
+    find_lettering,
+)
 from gridletters.perm import Permutation, inversion_graph, parse_permutation, separators
 from gridletters.pipeline import (
     LetteringNotFoundError,
     NotGriddableError,
     PipelineError,
+    _universal_ok,
     class_experiment,
     contract_gridded,
     geometrize,
@@ -317,3 +324,21 @@ class TestClassExperiment:
         assert header.split("\t")[0] == "perm"
         assert len(lines) == len(report.rows)
         assert "size bound" in report.summary()
+
+    def test_universal_check_rejects_a_tampered_gridding(self, x_matrix):
+        result = geometrize(P("25314"), x_matrix, 3)
+        # Another gridding of the same permutation by the output matrix,
+        # with inconsistent local orders: it has no drawing.
+        bad = next(
+            gp
+            for gp in iter_griddings(result.gridded.perm, result.signed.matrix)
+            if geometry.realize(gp, result.signed) is None
+        )
+        tampered = dataclasses.replace(result, gridded=bad)
+        assert _universal_ok(result, 26, 26)
+        assert not _universal_ok(tampered, 26, 26)
+
+    def test_shared_cache_gives_the_same_results(self, x_matrix):
+        cache = LetteringCache()
+        for pi in skew_merged_upto(5, x_matrix):
+            assert geometrize(pi, x_matrix, 3, cache) == geometrize(pi, x_matrix, 3)
