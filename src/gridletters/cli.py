@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import geometry, gridding, letters, pipeline, render
+from . import geometry, letters, pipeline, render
 from .graphs import parse_graph
 from .gridding import GridMatrix, find_gridding, parse_matrix, pmm_signs
 from .perm import Permutation, inversion_graph, parse_permutation
@@ -148,18 +148,13 @@ def cmd_render(args) -> int:
         obj = r
     else:  # hasse
         pi = _read_perm(args.perm)
-        signs = pmm_signs(m)
-        if signs is None:
+        if pmm_signs(m) is None:
             raise InputError("hasse rendering needs a partial multiplication matrix")
-        obj = None
-        for gp in gridding.iter_griddings(pi, m):
-            lo = geometry.local_orders(gp, signs)
-            if geometry.consistency(lo) is not None:
-                obj = lo
-                break
-        if obj is None:
+        r = geometry.geom_witness(pi, m)
+        if r is None:
             print("no gridding with consistent local orders")
             return 1
+        obj = geometry.local_orders(r.gridded, r.signs)
     document = render.render(spec, obj)
     if args.svg:
         Path(args.svg).write_text(document)

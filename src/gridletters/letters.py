@@ -129,22 +129,16 @@ def _twin_classes(g: SimpleGraph) -> tuple[int, ...]:
 
 
 def _decoder_letter_reps(k: int, decoder: frozenset[tuple[int, int]]) -> tuple[int, ...]:
-    """Least representative per orbit of letters under decoder automorphisms."""
-    reps = list(range(k))
+    """Least representative per orbit of letters under decoder automorphisms.
 
-    def find(x: int) -> int:
-        while reps[x] != x:
-            reps[x] = reps[reps[x]]
-            x = reps[x]
-        return x
-
-    for sig in itertools.permutations(range(k)):
-        if frozenset((sig[i], sig[j]) for i, j in decoder) == decoder:
-            for x in range(k):
-                a, b = find(x), find(sig[x])
-                if a != b:
-                    reps[max(a, b)] = min(a, b)
-    return tuple(find(x) for x in range(k))
+    The automorphisms form a group, so the orbit of x is {sig[x]}.
+    """
+    auts = [
+        sig
+        for sig in itertools.permutations(range(k))
+        if frozenset((sig[i], sig[j]) for i, j in decoder) == decoder
+    ]
+    return tuple(min(sig[x] for sig in auts) for x in range(k))
 
 
 def _search_word(

@@ -15,6 +15,7 @@ shares across its whole sweep; `geometrize` accepts one for the same reuse.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -70,18 +71,6 @@ class ReadingOrders:
     (+1 bottom-to-top) direction in which its entries appear in the word."""
 
     orders: tuple[tuple[RefinedLetter, int, int], ...]
-
-    def horizontal(self, letter: RefinedLetter) -> int:
-        for lt, h, _ in self.orders:
-            if lt == letter:
-                return h
-        raise KeyError(letter)
-
-    def vertical(self, letter: RefinedLetter) -> int:
-        for lt, _, v in self.orders:
-            if lt == letter:
-                return v
-        raise KeyError(letter)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,22 +137,15 @@ def reading_orders(rlz: RefinedLetterization, gp: GriddedPermutation) -> Reading
     _check_one_cell_per_letter(rlz, gp)
     _check_no_cell_intervals(gp)
     orders = []
-    for letter in rlz.alphabet:
-        entries = [i for i in range(1, len(gp.perm) + 1) if rlz.letter_of(i) == letter]
-        cell_sign = gp.matrix.entry(letter[1], letter[2])
-        if len(entries) == 1:
+    for letter, entries in _letter_entries(rlz, len(gp.perm)).items():
+        ranks = [rlz.iso[i - 1] for i in entries]
+        if ranks == sorted(ranks):
             h = 1
+        elif ranks == sorted(ranks, reverse=True):
+            h = -1
         else:
-            ranks = [rlz.iso[i - 1] for i in entries]
-            if ranks == sorted(ranks):
-                h = 1
-            elif ranks == sorted(ranks, reverse=True):
-                h = -1
-            else:
-                raise PipelineError(
-                    f"iso not monotone on the entries of letter {letter}"
-                )
-        orders.append((letter, h, h * cell_sign))
+            raise PipelineError(f"iso not monotone on the entries of letter {letter}")
+        orders.append((letter, h, h * gp.matrix.entry(letter[1], letter[2])))
     return ReadingOrders(tuple(orders))
 
 
@@ -194,20 +176,13 @@ def regrid(gp: GriddedPermutation, rlz: RefinedLetterization) -> GriddedPermutat
         row_cuts.update((hull.values[0], hull.values[1] + 1))
     col_divs = tuple(sorted(col_cuts))
     row_divs = tuple(sorted(row_cuts))
-    entries = []
-    for a in range(len(col_divs) - 1):
-        parent_k = gp.column_of(col_divs[a])
-        column = []
-        for b in range(len(row_divs) - 1):
-            parent_l = gp.row_of_value(row_divs[b])
-            occupied = any(
-                col_divs[a] <= i < col_divs[a + 1]
-                and row_divs[b] <= gp.perm.at(i) < row_divs[b + 1]
-                for i in range(1, len(gp.perm) + 1)
-            )
-            column.append(gp.matrix.entry(parent_k, parent_l) if occupied else 0)
-        entries.append(tuple(column))
-    matrix = GridMatrix(len(col_divs) - 1, len(row_divs) - 1, tuple(entries))
+    # New cuts refine the old ones, so each entry keeps its parent cell's sign.
+    entries = [[0] * (len(row_divs) - 1) for _ in range(len(col_divs) - 1)]
+    for i in range(1, len(gp.perm) + 1):
+        a = bisect.bisect_right(col_divs, i) - 1
+        b = bisect.bisect_right(row_divs, gp.perm.at(i)) - 1
+        entries[a][b] = gp.matrix.entry(*gp.cell_of(i))
+    matrix = GridMatrix(len(col_divs) - 1, len(row_divs) - 1, tuple(map(tuple, entries)))
     return GriddedPermutation(gp.perm, matrix, col_divs, row_divs)
 
 
@@ -223,36 +198,28 @@ def assign_signs(
     were violated.  The output matrix is col sign times row sign everywhere,
     a partial multiplication matrix by construction.
     """
-    n = len(regridded.perm)
-    col_signs = []
-    for k in range(1, regridded.matrix.cols + 1):
-        entries = regridded.entries_in_column(k)
+    table = {letter: (h, v) for letter, h, v in ro.orders}
+    cols, rows = regridded.matrix.cols, regridded.matrix.rows
+
+    def line_sign(entries: tuple[int, ...], axis: int, line: str) -> int:
         if not entries:
-            raise PipelineError(f"column {k} of the regridded permutation is empty")
-        hs = {ro.horizontal(rlz.letter_of(i)) for i in entries}
-        if len(hs) != 1:
-            raise ReadingOrderConflictError(
-                f"conflicting horizontal reading orders in column {k}"
-            )
-        col_signs.append(hs.pop())
-    row_signs = []
-    for l in range(1, regridded.matrix.rows + 1):
-        entries = regridded.entries_in_row(l)
-        if not entries:
-            raise PipelineError(f"row {l} of the regridded permutation is empty")
-        vs = {ro.vertical(rlz.letter_of(i)) for i in entries}
-        if len(vs) != 1:
-            raise ReadingOrderConflictError(
-                f"conflicting vertical reading orders in row {l}"
-            )
-        row_signs.append(vs.pop())
+            raise PipelineError(f"{line} of the regridded permutation is empty")
+        found = {table[rlz.letter_of(i)][axis] for i in entries}
+        if len(found) != 1:
+            direction = ("horizontal", "vertical")[axis]
+            raise ReadingOrderConflictError(f"conflicting {direction} reading orders in {line}")
+        return found.pop()
+
+    col_signs = [
+        line_sign(regridded.entries_in_column(k), 0, f"column {k}") for k in range(1, cols + 1)
+    ]
+    row_signs = [
+        line_sign(regridded.entries_in_row(l), 1, f"row {l}") for l in range(1, rows + 1)
+    ]
     matrix = GridMatrix(
-        regridded.matrix.cols,
-        regridded.matrix.rows,
-        tuple(
-            tuple(col_signs[k] * row_signs[l] for l in range(regridded.matrix.rows))
-            for k in range(regridded.matrix.cols)
-        ),
+        cols,
+        rows,
+        tuple(tuple(col_signs[k] * row_signs[l] for l in range(rows)) for k in range(cols)),
     )
     return SignedMatrix(matrix, tuple(col_signs), tuple(row_signs))
 
@@ -289,13 +256,9 @@ def contract_gridded(
         mins = [min(pi.values[a - 1 : b]) for a, b in groups]
         ranks = {m: r + 1 for r, m in enumerate(sorted(mins))}
         new_perm = Permutation(tuple(ranks[m] for m in mins))
-        starts = [a for a, _ in groups]
-        col_divs = tuple(
-            1 + sum(1 for a in starts if a < x) for x in current.col_divs
-        )
-        value_mins = sorted(mins)
-        row_divs = tuple(
-            1 + sum(1 for m in value_mins if m < y) for y in current.row_divs
+        # Each group lies in one cell, so the groups' cells fix the divisions.
+        col_divs, row_divs = divisions_of_cells(
+            (current.cell_of(a) for a, _ in groups), current.matrix.cols, current.matrix.rows
         )
         current = GriddedPermutation(new_perm, current.matrix, col_divs, row_divs)
         passes.append(tuple(groups))
@@ -393,15 +356,21 @@ def geometrize(
     sigma_final = GriddedPermutation(
         sigma, signed.matrix, regridded.col_divs, regridded.row_divs
     )
-    sigma_real = geometry.realize(sigma_final, signed)
-    if sigma_real is None:
-        raise PipelineError("local orders of the regridded permutation are inconsistent")
-
-    cells, points = _inflate_points(sigma_real, passes)
-    t, u = signed.matrix.cols, signed.matrix.rows
-    final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
-    realization = Realization(final_gp, signed, points)
-    geometry.check_realization(realization)
+    # The drawing is read back once, here; a failed read-back is a typed
+    # failure like the others.
+    try:
+        sigma_real = geometry.realize(sigma_final, signed)
+        if sigma_real is None:
+            raise PipelineError("local orders of the regridded permutation are inconsistent")
+        cells, points = _inflate_points(sigma_real, passes)
+        t, u = signed.matrix.cols, signed.matrix.rows
+        final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
+        realization = Realization(final_gp, signed, points)
+        geometry.check_realization(realization)
+    except PipelineError:
+        raise
+    except ValueError as exc:
+        raise PipelineError(f"drawing of {pi} does not read back: {exc}") from exc
     return GeometrizeResult(
         signed=signed,
         gridded=final_gp,
@@ -486,8 +455,10 @@ def class_experiment(
 ) -> ExperimentReport:
     """Geometrize every permutation of length <= n_max in Grid(m) whose
     inversion graph has lettericity at most r, verifying the size bound,
-    membership in the output matrix, and membership in the universal matrix
-    of the bound dimensions.  Failures become report rows, never crashes.
+    membership in the output matrix (the read-back `geometrize` makes before
+    it returns, so a returned result is a member), and membership in the
+    universal matrix of the bound dimensions.  Failures become report rows,
+    never crashes.
     One `LetteringCache` serves the lettericity filter and every geometrize
     call, so each isomorphism class of inversion graphs is searched once.
     """
@@ -519,7 +490,6 @@ def class_experiment(
             cols = result.signed.matrix.cols
             nrows = result.signed.matrix.rows
             bound_ok = cols <= bound_cols and nrows <= bound_rows
-            member_ok = _witness_ok(result)
             universal_ok = bound_ok and _universal_ok(result, bound_cols, bound_rows)
             oracle_ok = (
                 oracle.geom_member_oracle(pi, result.signed.matrix)
@@ -527,7 +497,7 @@ def class_experiment(
                 else None
             )
             rows.append(
-                ExperimentRow(pi, lett, cols, nrows, bound_ok, member_ok, universal_ok, oracle_ok)
+                ExperimentRow(pi, lett, cols, nrows, bound_ok, True, universal_ok, oracle_ok)
             )
     return ExperimentReport(
         n_max=n_max,
@@ -540,19 +510,12 @@ def class_experiment(
     )
 
 
-def _witness_ok(result: GeometrizeResult) -> bool:
-    try:
-        geometry.check_realization(result.realization)
-    except ValueError:
-        return False
-    return result.gridded.perm == result.realization.gridded.perm
-
-
 def _universal_ok(result: GeometrizeResult, t: int, u: int) -> bool:
     # A drawing on the full-bound universal figure is a complete membership
     # witness; realize validates it by coordinate read-back.
-    gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
-    real = geometry.realize(gp_s, signs_s)
-    if real is None:
+    try:
+        gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
+        real = geometry.realize(gp_s, signs_s)
+    except ValueError:
         return False
-    return real.gridded.perm == result.gridded.perm
+    return real is not None and real.gridded.perm == result.gridded.perm

@@ -121,6 +121,16 @@ class TestRender:
         assert main(["render", "--target", "hasse", "--matrix", fan_file, "--perm", "6437251"]) == 0
         assert capsys.readouterr().out.startswith("<svg ")
 
+    def test_hasse_not_a_member(self, x_file, capsys):
+        assert main(["render", "--target", "hasse", "--matrix", x_file, "--perm", "3142"]) == 1
+        assert capsys.readouterr().out == "no gridding with consistent local orders\n"
+
+    def test_hasse_needs_a_partial_multiplication_matrix(self, tmp_path, capsys):
+        path = tmp_path / "non_pmm.mat"
+        path.write_text("1 -1\n1 1\n")
+        assert main(["render", "--target", "hasse", "--matrix", str(path), "--perm", "3142"]) == 2
+        assert "partial multiplication matrix" in capsys.readouterr().err
+
     def test_gridding_absent(self, x_file, capsys):
         assert main(["render", "--target", "gridding", "--matrix", x_file, "--perm", "2143"]) == 1
 

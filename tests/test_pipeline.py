@@ -3,9 +3,15 @@ import itertools
 
 import pytest
 
-from gridletters import geometry, letters
+from gridletters import cli, geometry, letters
 from gridletters.geometry import consistency, geom_member, local_orders
-from gridletters.gridding import GriddedPermutation, find_gridding, grid_matrix, iter_griddings
+from gridletters.gridding import (
+    GridMatrix,
+    GriddedPermutation,
+    find_gridding,
+    grid_matrix,
+    iter_griddings,
+)
 from gridletters.letters import (
     LetteringCache,
     Letterization,
@@ -172,6 +178,105 @@ class TestContractGridded:
         assert n == 6
 
 
+def reference_contract_gridded(gp):
+    """Contraction to a fixed point, with divisions found by counting the
+    group starts and group minima below each old division."""
+    current = gp
+    passes = []
+    while True:
+        pi = current.perm
+        n = len(pi)
+        groups = []
+        i = 1
+        while i <= n:
+            j = i
+            while (
+                j < n
+                and abs(pi.at(j + 1) - pi.at(j)) == 1
+                and current.cell_of(j) == current.cell_of(j + 1)
+            ):
+                j += 1
+            groups.append((i, j))
+            i = j + 1
+        if len(groups) == n:
+            return current, tuple(passes)
+        mins = [min(pi.values[a - 1 : b]) for a, b in groups]
+        ranks = {m: r + 1 for r, m in enumerate(sorted(mins))}
+        col_divs = tuple(1 + sum(1 for a, _ in groups if a < x) for x in current.col_divs)
+        row_divs = tuple(1 + sum(1 for m in mins if m < y) for y in current.row_divs)
+        new_perm = Permutation(tuple(ranks[m] for m in mins))
+        current = GriddedPermutation(new_perm, current.matrix, col_divs, row_divs)
+        passes.append(tuple(groups))
+
+
+def reference_reading_orders(rlz, gp):
+    """Per letter, rescan every entry; None when some letter's word
+    positions are not monotone."""
+    orders = []
+    for letter in rlz.alphabet:
+        entries = [i for i in range(1, len(gp.perm) + 1) if rlz.letter_of(i) == letter]
+        ranks = [rlz.iso[i - 1] for i in entries]
+        if len(entries) == 1 or ranks == sorted(ranks):
+            h = 1
+        elif ranks == sorted(ranks, reverse=True):
+            h = -1
+        else:
+            return None
+        orders.append((letter, h, h * gp.matrix.entry(letter[1], letter[2])))
+    return tuple(orders)
+
+
+def reference_regrid(gp, rlz):
+    """Cuts outside every hull; each new cell is occupied by scanning all
+    entries, and takes the sign of the parent cell holding its corner."""
+    col_cuts, row_cuts = set(gp.col_divs), set(gp.row_divs)
+    for hull in hull_rectangles(rlz, gp):
+        col_cuts.update((hull.positions[0], hull.positions[1] + 1))
+        row_cuts.update((hull.values[0], hull.values[1] + 1))
+    col_divs, row_divs = tuple(sorted(col_cuts)), tuple(sorted(row_cuts))
+    n = len(gp.perm)
+    columns = []
+    for a in range(len(col_divs) - 1):
+        column = []
+        for b in range(len(row_divs) - 1):
+            occupied = any(
+                col_divs[a] <= i < col_divs[a + 1]
+                and row_divs[b] <= gp.perm.at(i) < row_divs[b + 1]
+                for i in range(1, n + 1)
+            )
+            parent = (gp.column_of(col_divs[a]), gp.row_of_value(row_divs[b]))
+            column.append(gp.matrix.entry(*parent) if occupied else 0)
+        columns.append(tuple(column))
+    matrix = GridMatrix(len(col_divs) - 1, len(row_divs) - 1, tuple(columns))
+    return GriddedPermutation(gp.perm, matrix, col_divs, row_divs)
+
+
+class TestStagesAgainstReferences:
+    def test_first_griddings_up_to_6(self, x_matrix, v_matrix, fan_matrix):
+        cases = 0
+        for m, r in ((x_matrix, 3), (v_matrix, 4), (fan_matrix, 4)):
+            cache = LetteringCache()
+            for n in range(7):
+                for pi in perms_of(n):
+                    gp0 = find_gridding(pi, m)
+                    if gp0 is None:
+                        continue
+                    gp, passes = contract_gridded(gp0)
+                    assert (gp, passes) == reference_contract_gridded(gp0)
+                    lz = cache.find_lettering(inversion_graph(gp.perm), r)
+                    if lz is None:
+                        continue
+                    rlz = reletter(lz, gp)
+                    try:
+                        got = reading_orders(rlz, gp).orders
+                    except PipelineError:
+                        got = None
+                    assert got == reference_reading_orders(rlz, gp)
+                    assert regrid(gp, rlz) == reference_regrid(gp, rlz)
+                    cases += 1
+        assert cases > 1000
+
+
 class TestGeometrize:
     def test_3142_example(self, x_matrix):
         result = geometrize(P("3142"), x_matrix, 2)
@@ -236,10 +341,11 @@ class TestGeometrize:
 @pytest.fixture(scope="module")
 def pipeline_letterings(x_matrix):
     """Contracted gridded permutations with their letterings, lengths <= 7."""
+    cache = LetteringCache()
     out = []
     for pi in skew_merged_upto(7, x_matrix):
         gp, _ = contract_gridded(find_gridding(pi, x_matrix))
-        lz = find_lettering(inversion_graph(gp.perm), 3)
+        lz = cache.find_lettering(inversion_graph(gp.perm), 3)
         if lz is not None:
             out.append((gp, lz))
     return out
@@ -337,6 +443,26 @@ class TestClassExperiment:
         tampered = dataclasses.replace(result, gridded=bad)
         assert _universal_ok(result, 26, 26)
         assert not _universal_ok(tampered, 26, 26)
+
+    def test_failed_read_back_is_a_row_not_a_crash(self, x_matrix, monkeypatch, tmp_path, capsys):
+        check_realization = geometry.check_realization
+
+        def failing_check(r):
+            if len(r.points) >= 3:
+                raise ValueError("forced read-back failure")
+            check_realization(r)
+
+        monkeypatch.setattr(geometry, "check_realization", failing_check)
+        report = class_experiment(3, x_matrix, 2)
+        long_rows = [row for row in report.rows if len(row.perm) >= 3]
+        assert long_rows
+        assert all(not row.ok and not row.member_ok and row.note for row in long_rows)
+        assert all(row.ok for row in report.rows if len(row.perm) < 3)
+        matrix_file = tmp_path / "x.mat"
+        matrix_file.write_text("-1 1\n1 -1\n")
+        argv = ["geometrize", "--perm", "3142", "--matrix", str(matrix_file), "--k-max", "2"]
+        assert cli.main(argv) == 1
+        assert "geometrize failed" in capsys.readouterr().out
 
     def test_shared_cache_gives_the_same_results(self, x_matrix):
         cache = LetteringCache()
