@@ -37,9 +37,9 @@ def _read_matrix(path: str) -> GridMatrix:
         raise InputError(f"bad matrix file {path}: {exc}") from exc
 
 
-def _write_svg(args, document: str) -> None:
-    if getattr(args, "svg", None):
-        Path(args.svg).write_text(document)
+def _write_svg(args, spec: render.RenderSpec, r: geometry.Realization) -> None:
+    if args.svg:
+        Path(args.svg).write_text(render.render_drawing(r, spec))
 
 
 def cmd_lettericity(args) -> int:
@@ -77,6 +77,7 @@ def cmd_grid_check(args) -> int:
 
 
 def cmd_geom_check(args) -> int:
+    spec = render.RenderSpec("drawing", args.scale)
     pi = _read_perm(args.perm)
     m = _read_matrix(args.matrix)
     r = geometry.geom_witness(pi, m)
@@ -86,11 +87,12 @@ def cmd_geom_check(args) -> int:
     print("member of Geom(M)")
     for i, (x, y) in enumerate(r.points, start=1):
         print(f"entry {i} (value {r.gridded.perm.at(i)}): ({x}, {y})")
-    _write_svg(args, render.render_drawing(r, render.RenderSpec("drawing", args.scale)))
+    _write_svg(args, spec, r)
     return 0
 
 
 def cmd_geometrize(args) -> int:
+    spec = render.RenderSpec("drawing", args.scale)
     pi = _read_perm(args.perm)
     m = _read_matrix(args.matrix)
     try:
@@ -106,12 +108,7 @@ def cmd_geometrize(args) -> int:
     print("row divisions:", " ".join(map(str, result.gridded.row_divs)))
     for i, (x, y) in enumerate(result.realization.points, start=1):
         print(f"entry {i} (value {pi.at(i)}): ({x}, {y})")
-    _write_svg(
-        args,
-        render.render_drawing(
-            result.realization, render.RenderSpec("drawing", args.scale)
-        ),
-    )
+    _write_svg(args, spec, result.realization)
     return 0
 
 
@@ -220,10 +217,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InputError included
         print(str(exc), file=sys.stderr)
         return 2
 

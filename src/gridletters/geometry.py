@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import math
 from collections import defaultdict
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -181,9 +182,9 @@ def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
     n = len(points)
     cells = []
     for x, y in points:
-        k = int(x) + 1
-        l = int(y) + 1
-        if x == int(x) or y == int(y):
+        k = math.floor(x) + 1
+        l = math.floor(y) + 1
+        if x == k - 1 or y == l - 1:
             raise ValueError(f"point ({x}, {y}) on a cell boundary")
         if not (1 <= k <= m.cols and 1 <= l <= m.rows):
             raise ValueError(f"point ({x}, {y}) outside the grid")

@@ -17,6 +17,8 @@ from . import graphs
 from .gridding import GridMatrix, double, pmm_signs
 from .perm import Permutation
 
+GEOM_ORACLE_MAX_LENGTH = 7
+
 
 def containment_oracle(pi: Permutation, sigma: Permutation) -> bool:
     """Order-isomorphic subsequence test over every index subset."""
@@ -111,8 +113,8 @@ def _has_cycle(n: int, edges: set[tuple[int, int]]) -> bool:
 def geom_member_oracle(pi: Permutation, m: GridMatrix) -> bool:
     """Membership in Geom(m) by enumerating every cell assignment and every
     candidate sign vector, accepting iff some combination is acyclic."""
-    if len(pi) > 7:
-        raise ValueError("geometric membership oracle capped at length 7")
+    if len(pi) > GEOM_ORACLE_MAX_LENGTH:
+        raise ValueError(f"geometric membership oracle capped at length {GEOM_ORACLE_MAX_LENGTH}")
     work = m if pmm_signs(m) is not None else double(m)
     t, u = work.cols, work.rows
     n = len(pi)

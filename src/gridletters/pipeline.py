@@ -1,10 +1,10 @@
 """From a monotone gridding plus a lettering to a geometric gridding.
 
-The construction, per permutation: grid it monotonically, contract monotone
-runs that sit inside single cells of that gridding until none remain (this
-keeps every contracted run's direction equal to its cell's sign, which is
-what makes the final re-inflation possible), letter the inversion graph of
-the contracted permutation, refine the alphabet so each letter occupies one
+The construction, per permutation: grid it monotonically, contract the
+monotone runs that sit inside single cells of that gridding (one pass
+suffices, and each run's direction equals its cell's sign, which is what
+makes the final re-inflation possible), letter the inversion graph of the
+contracted permutation, refine the alphabet so each letter occupies one
 cell, slice the gridding just outside each letter's rectangular hull,
 orient the resulting columns and rows by the letters' reading orders, and
 realize.  The output matrix is a partial multiplication matrix of size at
@@ -226,86 +226,76 @@ def assign_signs(
 
 def contract_gridded(
     gp: GriddedPermutation,
-) -> tuple[GriddedPermutation, tuple[tuple[tuple[int, int], ...], ...]]:
-    """Contract monotone runs lying inside single cells, to a fixed point.
+) -> tuple[GriddedPermutation, tuple[tuple[int, int], ...]]:
+    """Contract the monotone runs lying inside single cells, in one scan.
 
-    Returns the contracted gridded permutation (over the same matrix) and
-    the contraction passes: each pass maps its result positions to closed
-    position ranges of the previous permutation.  Runs never straddle cells,
-    so each run's direction equals its cell's sign.
+    Returns the contracted gridded permutation (over the same matrix) and,
+    per contracted position, the closed range of gp positions it covers;
+    without a run that is gp itself and the one-entry ranges.  Runs never
+    straddle cells, so each run's direction equals its cell's sign.
+
+    One pass leaves no run behind.  The entries of a cell are monotone in
+    its sign s, so every run in the cell, and every two groups adjacent in
+    position within it, go in direction s.  If two such groups got adjacent
+    ranks after contraction, the last entry of the first and the first
+    entry of the second would differ by exactly s, and the scan would
+    already have joined them into one run.
     """
-    current = gp
-    passes: list[tuple[tuple[int, int], ...]] = []
-    while True:
-        pi = current.perm
-        n = len(pi)
-        groups: list[tuple[int, int]] = []
-        i = 1
-        while i <= n:
-            j = i
-            while (
-                j < n
-                and abs(pi.at(j + 1) - pi.at(j)) == 1
-                and current.cell_of(j) == current.cell_of(j + 1)
-            ):
-                j += 1
-            groups.append((i, j))
-            i = j + 1
-        if len(groups) == n:
-            return current, tuple(passes)
-        mins = [min(pi.values[a - 1 : b]) for a, b in groups]
-        ranks = {m: r + 1 for r, m in enumerate(sorted(mins))}
-        new_perm = Permutation(tuple(ranks[m] for m in mins))
-        # Each group lies in one cell, so the groups' cells fix the divisions.
-        col_divs, row_divs = divisions_of_cells(
-            (current.cell_of(a) for a, _ in groups), current.matrix.cols, current.matrix.rows
-        )
-        current = GriddedPermutation(new_perm, current.matrix, col_divs, row_divs)
-        passes.append(tuple(groups))
+    pi = gp.perm
+    n = len(pi)
+    groups: list[tuple[int, int]] = []
+    i = 1
+    while i <= n:
+        j = i
+        while j < n and abs(pi.at(j + 1) - pi.at(j)) == 1 and gp.cell_of(j) == gp.cell_of(j + 1):
+            j += 1
+        groups.append((i, j))
+        i = j + 1
+    if len(groups) == n:
+        return gp, tuple(groups)
+    mins = [min(pi.values[a - 1 : b]) for a, b in groups]
+    ranks = {m: r + 1 for r, m in enumerate(sorted(mins))}
+    # Each group lies in one cell, so the groups' cells fix the divisions.
+    col_divs, row_divs = divisions_of_cells(
+        (gp.cell_of(a) for a, _ in groups), gp.matrix.cols, gp.matrix.rows
+    )
+    contracted = Permutation(tuple(ranks[m] for m in mins))
+    return GriddedPermutation(contracted, gp.matrix, col_divs, row_divs), tuple(groups)
 
 
 def _inflate_points(
     contracted: Realization,
-    passes: tuple[tuple[tuple[int, int], ...], ...],
+    groups: tuple[tuple[int, int], ...],
 ) -> tuple[tuple[Cell, ...], tuple[Point, ...]]:
-    """Undo the contraction passes inside a realization.
+    """Undo the contraction inside a realization.
 
     Each contracted entry's point becomes a short monotone run along its
     cell's diagonal, inside a radius below half the smallest coordinate gap,
     so all reading orders outside the run are untouched.
     """
-    cells = [contracted.gridded.cell_of(i) for i in range(1, len(contracted.points) + 1)]
-    points = list(contracted.points)
-
-    def safe_gap() -> Fraction:
-        margins = []
-        for (x, y), (k, l) in zip(points, cells):
-            margins.extend((x - (k - 1), k - x, y - (l - 1), l - y))
-        for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
-            if x1 != x2:
-                margins.append(abs(x1 - x2))
-            if y1 != y2:
-                margins.append(abs(y1 - y2))
-        return min(margins)
-
-    for groups in reversed(passes):
-        gap = safe_gap()
-        new_cells: list[Cell] = []
-        new_points: list[Point] = []
-        for (x, y), cell, (a, b) in zip(points, cells, groups):
-            length = b - a + 1
-            if length == 1:
-                new_cells.append(cell)
-                new_points.append((x, y))
-                continue
-            sign = contracted.gridded.matrix.entry(*cell)
-            for q in range(1, length + 1):
-                dx = Fraction(2 * q - length - 1, 4 * length) * gap
-                new_cells.append(cell)
-                new_points.append((x + dx, y + dx if sign == 1 else y - dx))
-        cells = new_cells
-        points = new_points
-    return tuple(cells), tuple(points)
+    points = contracted.points
+    cells = tuple(contracted.gridded.cell_of(i) for i in range(1, len(points) + 1))
+    if all(a == b for a, b in groups):
+        return cells, points
+    margins = []
+    for (x, y), (k, l) in zip(points, cells):
+        margins.extend((x - (k - 1), k - x, y - (l - 1), l - y))
+    for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
+        if x1 != x2:
+            margins.append(abs(x1 - x2))
+        if y1 != y2:
+            margins.append(abs(y1 - y2))
+    gap = min(margins)
+    new_cells: list[Cell] = []
+    new_points: list[Point] = []
+    for (x, y), cell, (a, b) in zip(points, cells, groups):
+        length = b - a + 1
+        sign = contracted.gridded.matrix.entry(*cell)
+        for q in range(1, length + 1):
+            dx = Fraction(2 * q - length - 1, 4 * length) * gap
+            new_cells.append(cell)
+            new_points.append((x + dx, y + dx if sign == 1 else y - dx))
+    return tuple(new_cells), tuple(new_points)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,10 +330,16 @@ def geometrize(
     gp0 = find_gridding(pi, m)
     if gp0 is None:
         raise NotGriddableError(f"{pi} has no gridding by the given matrix")
-    sigma_gp, passes = contract_gridded(gp0)
+    return _geometrize_gridding(gp0, k_max, LetteringCache() if cache is None else cache)
+
+
+def _geometrize_gridding(
+    gp0: GriddedPermutation, k_max: int, cache: LetteringCache
+) -> GeometrizeResult:
+    # Everything in `geometrize` after the gridding search.
+    pi = gp0.perm
+    sigma_gp, groups = contract_gridded(gp0)
     sigma = sigma_gp.perm
-    if cache is None:
-        cache = LetteringCache()
     lz = cache.find_lettering(inversion_graph(sigma), k_max)
     if lz is None:
         raise LetteringNotFoundError(
@@ -362,7 +358,7 @@ def geometrize(
         sigma_real = geometry.realize(sigma_final, signed)
         if sigma_real is None:
             raise PipelineError("local orders of the regridded permutation are inconsistent")
-        cells, points = _inflate_points(sigma_real, passes)
+        cells, points = _inflate_points(sigma_real, groups)
         t, u = signed.matrix.cols, signed.matrix.rows
         final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
         realization = Realization(final_gp, signed, points)
@@ -458,10 +454,15 @@ def class_experiment(
     membership in the output matrix (the read-back `geometrize` makes before
     it returns, so a returned result is a member), and membership in the
     universal matrix of the bound dimensions.  Failures become report rows,
-    never crashes.
-    One `LetteringCache` serves the lettericity filter and every geometrize
-    call, so each isomorphism class of inversion graphs is searched once.
+    never crashes; an n_max past the oracle's length cap with
+    verify_with_oracle raises ValueError before the sweep starts.
+    The filter's gridding is the one geometrized, so each permutation is
+    gridded once, and one `LetteringCache` serves the lettericity filter and
+    every row, so each isomorphism class of inversion graphs is searched once.
     """
+    cap = oracle.GEOM_ORACLE_MAX_LENGTH
+    if verify_with_oracle and n_max > cap:
+        raise ValueError(f"geometric membership oracle capped at length {cap}")
     t, u = m.cols, m.rows
     bound_cols, bound_rows = t * (1 + 2 * u * r), u * (1 + 2 * t * r)
     cache = LetteringCache()
@@ -473,7 +474,8 @@ def class_experiment(
         for values in itertools.permutations(range(1, n + 1)):
             pi = Permutation(values)
             scanned += 1
-            if find_gridding(pi, m) is None:
+            gp0 = find_gridding(pi, m)
+            if gp0 is None:
                 skipped_ungriddable += 1
                 continue
             lett = cache.lettericity(inversion_graph(pi))
@@ -481,7 +483,7 @@ def class_experiment(
                 skipped_lettericity += 1
                 continue
             try:
-                result = geometrize(pi, m, r, cache)
+                result = _geometrize_gridding(gp0, r, cache)
             except PipelineError as exc:
                 rows.append(
                     ExperimentRow(pi, lett, 0, 0, False, False, False, None, str(exc))

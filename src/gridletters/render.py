@@ -11,7 +11,7 @@ import dataclasses
 from collections import defaultdict
 from typing import Union
 
-from .geometry import LocalOrders, Realization, StandardFigure, standard_figure
+from .geometry import LocalOrders, Realization, StandardFigure, consistency, standard_figure
 from .gridding import GriddedPermutation, GridMatrix
 
 TARGETS = ("figure", "drawing", "gridding", "hasse")
@@ -169,27 +169,18 @@ def render_hasse(lo: LocalOrders, spec: RenderSpec) -> str:
     for chain in lo.chains():
         for a, b in zip(chain, chain[1:]):
             succ[a].add(b)
-    # Longest-path layering; raises on a cycle since that is not a poset.
-    depth: dict[int, int] = {}
-
-    def depth_of(v: int, active: frozenset[int]) -> int:
-        if v in active:
-            raise ValueError("local orders contain a cycle; no Hasse diagram")
-        if v not in depth:
-            preds = [a for a in range(1, lo.n + 1) if v in succ[a]]
-            depth[v] = 1 + max(
-                (depth_of(a, active | {v}) for a in preds), default=-1
-            )
-        return depth[v]
-
-    for v in range(1, lo.n + 1):
-        depth_of(v, frozenset())
-    # Transitive reduction over the closure of the union.
-    closure: dict[int, set[int]] = {v: set() for v in range(1, lo.n + 1)}
-    for v in sorted(depth, key=lambda w: -depth[w]):
+    psi = consistency(lo)
+    if psi is None:
+        raise ValueError("local orders contain a cycle; no Hasse diagram")
+    order = sorted(range(1, lo.n + 1), key=lambda v: psi[v - 1])
+    # Longest-path layering forward, transitive closure backward.
+    depth = dict.fromkeys(order, 0)
+    for v in order:
         for w in succ[v]:
-            closure[v].add(w)
-            closure[v] |= closure[w]
+            depth[w] = max(depth[w], depth[v] + 1)
+    closure: dict[int, set[int]] = {}
+    for v in reversed(order):
+        closure[v] = set(succ[v]).union(*(closure[w] for w in succ[v]))
     edges = {
         (a, b)
         for a in range(1, lo.n + 1)

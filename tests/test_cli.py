@@ -1,10 +1,16 @@
 import pytest
 
+from gridletters import pipeline, render
 from gridletters.cli import main
 from gridletters.graphs import family, format_graph
+from gridletters.gridding import find_gridding
 
 X_TEXT = "-1 1\n1 -1\n"
 FAN_TEXT = "-1 1 1\n0 -1 -1\n"
+
+
+def _no_render(*args, **kwargs):
+    raise AssertionError("rendered a drawing without --svg")
 
 
 @pytest.fixture()
@@ -83,6 +89,18 @@ class TestGeomCheck:
         m.write_text("1\n")
         assert main(["geom-check", "--perm", "1", "--matrix", str(m)]) == 0
 
+    def test_bad_scale_before_any_work(self, fan_file, capsys):
+        assert main(
+            ["geom-check", "--perm", "3 6 4 5 7 2 1", "--matrix", fan_file, "--scale", "0"]
+        ) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "scale" in err
+
+    def test_no_svg_renders_nothing(self, fan_file, monkeypatch, capsys):
+        monkeypatch.setattr(render, "render_drawing", _no_render)
+        assert main(["geom-check", "--perm", "6437251", "--matrix", fan_file]) == 0
+
 
 class TestGeometrize:
     def test_3142_with_svg(self, x_file, tmp_path, capsys):
@@ -99,6 +117,15 @@ class TestGeometrize:
         assert main(["geometrize", "--perm", "214365", "--matrix", x_file, "--k-max", "3"]) == 1
         assert "failed" in capsys.readouterr().out
 
+    def test_bad_scale_before_any_work(self, x_file, capsys):
+        argv = ["geometrize", "--perm", "3142", "--matrix", x_file, "--k-max", "2"]
+        assert main([*argv, "--scale", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_no_svg_renders_nothing(self, x_file, monkeypatch, capsys):
+        monkeypatch.setattr(render, "render_drawing", _no_render)
+        assert main(["geometrize", "--perm", "3142", "--matrix", x_file, "--k-max", "2"]) == 0
+
 
 class TestExperiment:
     def test_small_run(self, x_file, capsys):
@@ -109,6 +136,25 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert out.startswith("perm\t")
         assert "all verified" in out
+
+    def test_verify_past_the_oracle_cap_fails_before_the_sweep(
+        self, x_file, monkeypatch, capsys
+    ):
+        calls = []
+
+        def counting_find_gridding(pi, m):
+            calls.append(pi)
+            return find_gridding(pi, m)
+
+        monkeypatch.setattr(pipeline, "find_gridding", counting_find_gridding)
+        code = main(
+            ["experiment", "--n-max", "8", "--matrix", x_file, "--letters", "3", "--verify"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "capped at length 7" in err
+        assert calls == []
 
 
 class TestRender:

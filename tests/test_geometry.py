@@ -167,6 +167,14 @@ class TestReadPoints:
         with pytest.raises(ValueError):
             read_points(m, [(Fraction(1, 2), Fraction(3, 2))])
 
+    def test_rejects_points_left_of_the_grid(self, one_cell):
+        # Truncation toward zero would put x, y in (-1, 0) into cell (1, 1),
+        # whose diagonal this point lies on when extended.
+        with pytest.raises(ValueError, match="outside the grid"):
+            read_points(one_cell, [(Fraction(-1, 2), Fraction(-1, 2))])
+        with pytest.raises(ValueError, match="outside the grid"):
+            read_points(grid_matrix([[-1]]), [(Fraction(-1, 2), Fraction(1, 2))])
+
 
 class TestDecodeWord:
     def test_single_increasing_cell(self, one_cell):

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from gridletters import cli, geometry, letters
+from gridletters import cli, geometry, letters, pipeline
 from gridletters.geometry import consistency, geom_member, local_orders
 from gridletters.gridding import (
     GridMatrix,
@@ -170,12 +170,32 @@ class TestContractGridded:
                 assert not (same_cell and adjacent)
 
     def test_passes_compose_to_original_length(self, x_matrix):
+        # One pass: the groups tile the original positions, one per entry.
         gp0 = find_gridding(P("654321"), x_matrix)
-        gp, passes = contract_gridded(gp0)
-        n = len(gp.perm)
-        for groups in reversed(passes):
-            n = groups[-1][1]
-        assert n == 6
+        gp, groups = contract_gridded(gp0)
+        assert len(groups) == len(gp.perm) < 6
+        assert [a for a, _ in groups] == [1] + [b + 1 for _, b in groups[:-1]]
+        assert groups[-1][1] == 6
+
+    def test_inflates_a_run_contracted_to_one_entry(self, one_cell):
+        # 12 contracts to 1: one group, one point, but two entries to draw.
+        result = geometrize(P("12"), one_cell, 1)
+        assert result.contracted == P("1")
+        assert result.gridded.perm == P("12")
+        assert len(result.realization.points) == 2
+
+    def test_the_fixed_point_never_needs_a_second_pass(
+        self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix
+    ):
+        # Every gridding, not only the first, of every permutation up to 6.
+        griddings = 0
+        for m in (x_matrix, v_matrix, fan_matrix, non_pmm_matrix):
+            for n in range(7):
+                for pi in perms_of(n):
+                    for gp0 in iter_griddings(pi, m):
+                        assert len(reference_contract_gridded(gp0)[1]) <= 1
+                        griddings += 1
+        assert griddings > 10000
 
 
 def reference_contract_gridded(gp):
@@ -261,8 +281,11 @@ class TestStagesAgainstReferences:
                     gp0 = find_gridding(pi, m)
                     if gp0 is None:
                         continue
-                    gp, passes = contract_gridded(gp0)
-                    assert (gp, passes) == reference_contract_gridded(gp0)
+                    gp, groups = contract_gridded(gp0)
+                    ref_gp, ref_passes = reference_contract_gridded(gp0)
+                    assert len(ref_passes) <= 1
+                    identity = tuple((i, i) for i in range(1, n + 1))
+                    assert (gp, groups) == (ref_gp, ref_passes[0] if ref_passes else identity)
                     lz = cache.find_lettering(inversion_graph(gp.perm), r)
                     if lz is None:
                         continue
@@ -463,6 +486,18 @@ class TestClassExperiment:
         argv = ["geometrize", "--perm", "3142", "--matrix", str(matrix_file), "--k-max", "2"]
         assert cli.main(argv) == 1
         assert "geometrize failed" in capsys.readouterr().out
+
+    def test_one_gridding_search_per_permutation(self, x_matrix, monkeypatch):
+        calls = []
+
+        def counting_find_gridding(pi, m):
+            calls.append(pi)
+            return find_gridding(pi, m)
+
+        monkeypatch.setattr(pipeline, "find_gridding", counting_find_gridding)
+        report = class_experiment(5, x_matrix, 3)
+        assert report.rows
+        assert len(calls) == report.scanned
 
     def test_shared_cache_gives_the_same_results(self, x_matrix):
         cache = LetteringCache()
