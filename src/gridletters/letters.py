@@ -3,17 +3,18 @@
 A lettering of a graph G is an alphabet, a decoder (a set of ordered letter
 pairs), a word w, and a bijection iso from V(G) to word positions such that
 i < j positions are adjacent in the decoded graph exactly when
-(w(i), w(j)) is in the decoder.  The exact solver enumerates decoders up to
-letter renaming and then backtracks over (position, letter, vertex)
-placements; a vertex can sit at the next position with letter x only if its
-adjacency into the placed set is exactly the set that the decoder forces
-for letter x.  That single invariant is what makes the search feasible.
+(w(i), w(j)) is in the decoder.  The exact searches backtrack over
+(position, letter, vertex) placements on one invariant: a vertex placed with
+letter x sees each earlier letter-y class whole or not at all, as the
+decoder pair (y, x) says.  `_has_lettering` decides whether at most k
+letters suffice, fixing each pair when a placement first tests it; only at
+the least such size does `_search_word` walk the canonical decoders, so its
+first success is the least (decoder, word) witness.
 
-Whether a word exists for a given (alphabet size, decoder) depends only on
-the isomorphism class of the graph, so `LetteringCache` keeps, per class,
-how far the size search has gone and the first (size, decoder) that
-succeeded; a later graph of the class reruns only that one word search.
-`find_lettering` and `lettericity` are the same lookups on a fresh cache.
+`LetteringCache` keeps, per isomorphism class, the sizes known to fail, the
+decided size and the witness decoder; a later graph of the class reruns only
+that one word search.  `find_lettering` and `lettericity` are the same
+lookups on a fresh cache.
 """
 from __future__ import annotations
 
@@ -92,9 +93,9 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     """All decoders over letters 0..k-1, one per letter-renaming orbit.
 
     Sorted by their sorted pair tuples; this order fixes the tie-breaking of
-    the lettering search.  Practical for k <= 4 (the 4-letter case has 104 +
-    ... representatives out of 65536 subsets); larger alphabets never arise
-    for the graph orders this solver targets.
+    the lettering search.  Practical for k <= 4 (the 4-letter case has 3,044
+    representatives out of 65,536 subsets); the witness search walks them
+    only at the decided lettericity.
     """
     perms = list(itertools.permutations(range(k)))
     pair_list = [(i, j) for i in range(k) for j in range(k)]
@@ -128,48 +129,33 @@ def _twin_classes(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _decoder_letter_reps(k: int, decoder: frozenset[tuple[int, int]]) -> tuple[int, ...]:
-    """Least representative per orbit of letters under decoder automorphisms.
-
-    The automorphisms form a group, so the orbit of x is {sig[x]}.
-    """
-    auts = [
-        sig
-        for sig in itertools.permutations(range(k))
-        if frozenset((sig[i], sig[j]) for i, j in decoder) == decoder
-    ]
-    return tuple(min(sig[x] for sig in auts) for x in range(k))
-
-
 def _search_word(
     g: SimpleGraph, k: int, decoder: frozenset[tuple[int, int]]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Least word over letters 0..k-1 (using all of them) whose letter graph
-    is isomorphic to g, together with iso[v-1] = position of vertex v."""
+    """Least word over letters 0..k-1 whose letter graph is isomorphic to g,
+    together with iso[v-1] = position of vertex v.  At k = lett(g), the one
+    size the witness search asks, every such word uses all k letters."""
     n = g.order
     adj = graphs.adjacency_masks(g)
     twin = _twin_classes(g)
     orbit = graphs.vertex_orbits(g)
-    letter_rep = _decoder_letter_reps(k, decoder)
     feeds = [[x for x in range(k) if (y, x) in decoder] for y in range(k)]
-    all_letters = (1 << k) - 1
 
     word: list[int] = []
     placement: list[int] = []
-    failed: set[tuple[int, tuple[int, ...], int]] = set()
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def extend(placed: int, required: tuple[int, ...], used: int, p: int) -> bool:
+    def extend(placed: int, required: tuple[int, ...], p: int) -> bool:
         if p == n:
-            return used == all_letters
-        missing = k - bin(used).count("1")
-        if n - p < missing:
-            return False
-        key = (placed, required, used)
+            return True
+        key = (placed, required)
         if key in failed:
             return False
+        # An unplaced vertex that fits no letter now fits none later.
+        needs = set(required)
+        if any(adj[v] & placed not in needs for v in range(n) if not placed >> v & 1):
+            return False
         for x in range(k):
-            if p == 0 and letter_rep[x] != x:
-                continue
             need = required[x]
             tried_twins = set()
             for v in range(n):
@@ -187,14 +173,14 @@ def _search_word(
                     new_required[x2] |= 1 << v
                 word.append(x)
                 placement.append(v)
-                if extend(placed | 1 << v, tuple(new_required), used | 1 << x, p + 1):
+                if extend(placed | 1 << v, tuple(new_required), p + 1):
                     return True
                 word.pop()
                 placement.pop()
         failed.add(key)
         return False
 
-    if not extend(0, (0,) * k, 0, 0):
+    if not extend(0, (0,) * k, 0):
         return None
     iso = [0] * n
     for pos, v in enumerate(placement):
@@ -202,24 +188,84 @@ def _search_word(
     return tuple(word), tuple(iso)
 
 
+def _has_lettering(g: SimpleGraph, k: int) -> bool:
+    """Whether g has a lettering over at most k letters, with no decoder
+    fixed up front: letters enter in order of first occurrence, and the first
+    placement that tests a pair (y, x) fixes it.  Classes only grow and pairs
+    only get fixed, so a vertex that fits no letter now fits none later."""
+    n = g.order
+    adj = graphs.adjacency_masks(g)
+    twin = _twin_classes(g)
+    orbit = graphs.vertex_orbits(g)
+    everyone = (1 << n) - 1
+    failed: set[tuple[tuple[int, ...], int, int]] = set()
+
+    def extend(placed: int, classes: tuple[int, ...], fixed: int, inside: int) -> bool:
+        # classes[y] holds the vertices placed with letter y; bit y * k + x of
+        # `fixed` marks the pair (y, x) fixed, and of `inside`, in the decoder.
+        if placed == everyone:
+            return True
+        key = (classes, fixed, inside)
+        if key in failed:
+            return False
+        used = len(classes)
+        moves = []
+        fits = placed
+        for x in range(min(used + 1, k)):
+            for v in range(n):
+                if placed >> v & 1:
+                    continue
+                f, i = fixed, inside
+                for y, cls in enumerate(classes):
+                    seen = adj[v] & cls
+                    if seen and seen != cls:
+                        break
+                    bit = 1 << (y * k + x)
+                    want = bit if seen else 0
+                    if f & bit and (i & bit) != want:
+                        break
+                    f |= bit
+                    i |= want
+                else:
+                    fits |= 1 << v
+                    moves.append((x, v, f, i))
+        if fits == everyone:
+            tried_twins = set()
+            for x, v, f, i in moves:
+                if (not placed and orbit[v] != v) or (x, twin[v]) in tried_twins:
+                    continue
+                tried_twins.add((x, twin[v]))
+                cls = classes[x] | 1 << v if x < used else 1 << v
+                if extend(placed | 1 << v, classes[:x] + (cls,) + classes[x + 1 :], f, i):
+                    return True
+        failed.add(key)
+        return False
+
+    return extend(0, (), 0, 0)
+
+
 @dataclasses.dataclass
 class _ClassRecord:
-    """Search progress for one isomorphism class: every size up to `tried`
-    has no witness; `witness` is the first succeeding (size, decoder)."""
+    """Search progress for one isomorphism class: no lettering has `tried`
+    or fewer letters; `size` is the lettericity once decided, and `decoder`
+    the least witness decoder at that size once walked."""
 
     rep: SimpleGraph
     tried: int = 0
-    witness: Optional[tuple[int, frozenset[tuple[int, int]]]] = None
+    size: Optional[int] = None
+    decoder: Optional[frozenset[tuple[int, int]]] = None
 
 
 class LetteringCache:
     """Least letterings, with the search shared across isomorphic graphs.
 
     Classes are bucketed by `graphs.invariant_key` and confirmed with
-    `graphs.find_isomorphism`.  Answers are exactly those of a search on the
-    graph itself: a known witness (size, decoder) is rerun on the queried
-    graph, so its word and iso are the graph's own.  A cache is plain
-    per-caller state; share one only within one thread.
+    `graphs.find_isomorphism`.  The size is decided first, by ascending
+    `_has_lettering` checks; only a witness query then walks the canonical
+    decoders of that one size.  Answers are exactly those of a search on the
+    graph itself: a known witness decoder is rerun on the queried graph, so
+    its word and iso are the graph's own.  A cache is plain per-caller
+    state; share one only within one thread.
     """
 
     def __init__(self):
@@ -234,18 +280,15 @@ class LetteringCache:
         bucket.append(rec)
         return rec
 
-    def _resume(
-        self, g: SimpleGraph, rec: _ClassRecord, k: int
-    ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-        # Continue the ascending size search of g's class, up to k letters.
-        for size in range(rec.tried + 1, min(k, g.order) + 1):
-            for decoder in canonical_decoders(size):
-                found = _search_word(g, size, decoder)
-                if found is not None:
-                    rec.witness = (size, decoder)
-                    return found
-            rec.tried = size
-        return None
+    def _decide(self, g: SimpleGraph, rec: _ClassRecord, k: int) -> bool:
+        # Whether lett(g) <= k, continuing the ascending checks of g's class.
+        if rec.size is None:
+            for size in range(rec.tried + 1, min(k, g.order) + 1):
+                if _has_lettering(g, size):
+                    rec.size = size
+                    break
+                rec.tried = size
+        return rec.size is not None and rec.size <= k
 
     def find_lettering(self, g: SimpleGraph, k: int) -> Optional[Letterization]:
         """Same contract and result as the module-level `find_lettering`."""
@@ -254,19 +297,23 @@ class LetteringCache:
         if g.order == 0:
             return Letterization((), frozenset(), (), ())
         rec = self._record(g)
-        if rec.witness is None:
-            found = self._resume(g, rec, k)
-            if found is None:
-                return None
-        elif rec.witness[0] > k:
+        if not self._decide(g, rec, k):
             return None
+        size = rec.size
+        if rec.decoder is None:
+            # No smaller size has a lettering, so the first decoder of this
+            # size with a word is the least witness.
+            for decoder in canonical_decoders(size):
+                found = _search_word(g, size, decoder)
+                if found is not None:
+                    rec.decoder = decoder
+                    break
         else:
-            found = _search_word(g, *rec.witness)
-        size, decoder = rec.witness
+            found = _search_word(g, size, rec.decoder)
         word_ints, iso = found
         return Letterization(
             alphabet=tuple(LETTER_SYMBOLS[:size]),
-            decoder=frozenset((LETTER_SYMBOLS[i], LETTER_SYMBOLS[j]) for i, j in decoder),
+            decoder=frozenset((LETTER_SYMBOLS[i], LETTER_SYMBOLS[j]) for i, j in rec.decoder),
             word=tuple(LETTER_SYMBOLS[i] for i in word_ints),
             iso=iso,
         )
@@ -276,18 +323,17 @@ class LetteringCache:
         if g.order == 0:
             return 0
         rec = self._record(g)
-        if rec.witness is None:
-            self._resume(g, rec, g.order)
-        assert rec.witness is not None
-        return rec.witness[0]
+        self._decide(g, rec, g.order)
+        assert rec.size is not None
+        return rec.size
 
 
 def find_lettering(g: SimpleGraph, k: int) -> Optional[Letterization]:
     """A lettering of g over at most k letters, or None if none exists.
 
-    Alphabet sizes are tried in increasing order and, per size, decoders in
-    their canonical order with words lexicographically, so the result is the
-    least (decoder, word) witness and its alphabet size is minimal.
+    The alphabet size is the lettericity, decided first; at that size
+    decoders are tried in their canonical order and words lexicographically,
+    so the result is the least (decoder, word) witness of minimal size.
     """
     return LetteringCache().find_lettering(g, k)
 

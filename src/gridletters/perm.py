@@ -8,7 +8,6 @@ of the inversion graph is the entry at position i.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Iterator, Optional, Sequence
 
 from . import graphs
@@ -273,31 +272,6 @@ def inflate(
         block = range(base, base + length)
         out.extend(block if direction == 1 else reversed(block))
     return Permutation(tuple(out))
-
-
-def shuffle(u: Sequence, v: Sequence) -> frozenset[tuple]:
-    """All interleavings of u and v preserving each word's internal order.
-
-    >>> len(shuffle((1, 2), (5, 4, 3)))
-    10
-    >>> shuffle((), (1,)) == frozenset({(1,)})
-    True
-    """
-    u = tuple(u)
-    v = tuple(v)
-    total = len(u) + len(v)
-    out = set()
-    for positions in itertools.combinations(range(total), len(u)):
-        word: list = [None] * total
-        ui = iter(u)
-        for p in positions:
-            word[p] = next(ui)
-        vi = iter(v)
-        for p in range(total):
-            if word[p] is None:
-                word[p] = next(vi)
-        out.add(tuple(word))
-    return frozenset(out)
 
 
 def separators(pi: Permutation, i: int, j: int) -> tuple[int, ...]:

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridletters import letters
 from gridletters.graphs import (
     complement,
     family,
@@ -184,6 +186,14 @@ class TestLettericity:
     def test_empty_graph(self):
         assert lettericity(graph(0)) == 0
 
+    def test_paths_follow_the_closed_form(self):
+        # Ferguson, "On the lettericity of paths": lett(P_n) = floor((n + 4) / 3).
+        for n in range(3, 10):
+            assert lettericity(family("path", n)) == (n + 4) // 3, n
+
+    def test_five_edge_matching_needs_five_letters(self):
+        assert lettericity(family("mK2", 5)) == 5
+
 
 def direct_lettering(g, k):
     """The uncached search: sizes ascending, canonical decoders in order,
@@ -233,6 +243,44 @@ class TestLetteringCache:
                 expected = least if least and len(least.alphabet) <= k else None
                 assert cache.find_lettering(g, k) == expected, (g, k)
             assert cache.lettericity(g) == oracle(g), g
+
+    def test_ladder_scale_graphs_match_direct_search(self):
+        # Fixed random graphs of order 7-8 and inversion graphs of length-8
+        # permutations, with positives and graphs that have no 3-lettering.
+        rng = random.Random(2021)
+        stream = []
+        for n in (7, 8) * 8:
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            stream.append(graph(n, [p for p in pairs if rng.random() < 0.5]))
+        for _ in range(8):
+            values = sorted(range(1, 9), key=lambda v: rng.random())
+            stream.append(inversion_graph(Permutation(tuple(values))))
+        sizes = []
+        for g in stream:
+            expected = direct_lettering(g, 3)
+            assert find_lettering(g, 3) == expected, g
+            sizes.append(len(expected.alphabet) if expected else None)
+        assert sizes.count(None) >= 3 and 2 in sizes and 3 in sizes
+
+    def test_lettericity_runs_no_word_search(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args):
+                calls.append((fn.__name__, args))
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(letters, "_search_word", counting(_search_word))
+        monkeypatch.setattr(letters, "canonical_decoders", counting(canonical_decoders))
+        cache = LetteringCache()
+        for g in (family("path", 8), family("mK2", 4), family("cycle", 6)):
+            cache.lettericity(g)
+            lettericity(g)
+        assert calls == []
+        assert cache.find_lettering(family("path", 4), 2) is not None
+        assert calls
 
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from gridletters.perm import (
     parse_permutation,
     separated,
     separators,
-    shuffle,
 )
 
 P = parse_permutation
@@ -233,30 +232,6 @@ class TestInflate:
         sigma = P("3142")
         pi = inflate(sigma, assignment)
         assert contract(pi)[0] == sigma
-
-
-class TestShuffle:
-    def test_five_letter_interleavings(self):
-        words = shuffle((1, 2), (5, 4, 3))
-        expected = {
-            (1, 2, 5, 4, 3), (1, 5, 2, 4, 3), (1, 5, 4, 2, 3), (1, 5, 4, 3, 2),
-            (5, 1, 2, 4, 3), (5, 1, 4, 2, 3), (5, 1, 4, 3, 2), (5, 4, 1, 2, 3),
-            (5, 4, 1, 3, 2), (5, 4, 3, 1, 2),
-        }
-        assert words == frozenset(expected)
-
-    def test_trivial_cases(self):
-        assert shuffle((), (1, 2)) == frozenset({(1, 2)})
-        assert shuffle((1,), (2,)) == frozenset({(1, 2), (2, 1)})
-
-    @given(st.integers(0, 4), st.integers(0, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_cardinality_on_disjoint_letters(self, a, b):
-        u = tuple(range(a))
-        v = tuple(range(100, 100 + b))
-        import math
-
-        assert len(shuffle(u, v)) == math.comb(a + b, a)
 
 
 class TestSeparation:
