@@ -79,19 +79,22 @@ class LocalOrders:
 def local_orders(gp: GriddedPermutation, signs: SignedMatrix) -> LocalOrders:
     if gp.matrix != signs.matrix:
         raise ValueError("gridding and signs are over different matrices")
-    cols = []
-    for k in range(1, gp.matrix.cols + 1):
-        chain = list(gp.entries_in_column(k))
-        if signs.col_signs[k - 1] == -1:
-            chain.reverse()
-        cols.append(tuple(chain))
-    rows = []
-    for l in range(1, gp.matrix.rows + 1):
-        by_value = sorted(gp.entries_in_row(l), key=lambda i: gp.perm.at(i))
-        if signs.row_signs[l - 1] == -1:
-            by_value.reverse()
-        rows.append(tuple(by_value))
-    return LocalOrders(len(gp.perm), tuple(cols), tuple(rows))
+    # Column k holds the positions [x_k, x_{k+1}) and row l the values
+    # [y_l, y_{l+1}), so each chain is a slice, read backwards for sign -1.
+    position = [0] * (len(gp.perm) + 1)
+    for i, v in enumerate(gp.perm.values, start=1):
+        position[v] = i
+    divs = gp.col_divs
+    cols = tuple(
+        tuple(range(lo, hi)) if s == 1 else tuple(range(hi - 1, lo - 1, -1))
+        for lo, hi, s in zip(divs, divs[1:], signs.col_signs)
+    )
+    divs = gp.row_divs
+    rows = tuple(
+        tuple(position[lo:hi]) if s == 1 else tuple(position[hi - 1 : lo - 1 : -1])
+        for lo, hi, s in zip(divs, divs[1:], signs.row_signs)
+    )
+    return LocalOrders(len(gp.perm), cols, rows)
 
 
 def consistency(lo: LocalOrders) -> Optional[tuple[int, ...]]:
@@ -178,33 +181,36 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
 def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
     """Read an arbitrary generic point set on the standard figure of m back
     into a gridded permutation.  Raises ValueError if a point is off the
-    figure or the set is not generic."""
+    figure or the set is not generic.  Every test runs on exact integers:
+    the coordinates times d, the least common multiple of their denominators.
+    """
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
+    d = math.lcm(*(q for point in ratios for _, q in point))
     n = len(points)
-    cells = []
-    for x, y in points:
-        k = math.floor(x) + 1
-        l = math.floor(y) + 1
-        if x == k - 1 or y == l - 1:
+    xs, ys, cells = [], [], []
+    for (x, y), ((px, qx), (py, qy)) in zip(points, ratios):
+        sx, sy = px * (d // qx), py * (d // qy)
+        k0, rx = divmod(sx, d)
+        l0, ry = divmod(sy, d)
+        if rx == 0 or ry == 0:
             raise ValueError(f"point ({x}, {y}) on a cell boundary")
-        if not (1 <= k <= m.cols and 1 <= l <= m.rows):
+        if not (0 <= k0 < m.cols and 0 <= l0 < m.rows):
             raise ValueError(f"point ({x}, {y}) outside the grid")
-        e = m.entry(k, l)
-        tx = x - (k - 1)
-        if e == 1 and y - (l - 1) != tx:
+        e = m.entries[k0][l0]
+        if e == 1 and ry != rx:
             raise ValueError(f"point ({x}, {y}) off the increasing diagonal")
-        if e == -1 and l - y != tx:
+        if e == -1 and d - ry != rx:
             raise ValueError(f"point ({x}, {y}) off the decreasing diagonal")
         if e == 0:
             raise ValueError(f"point ({x}, {y}) in an empty cell")
-        cells.append((k, l))
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+        xs.append(sx)
+        ys.append(sy)
+        cells.append((k0 + 1, l0 + 1))
     if len(set(xs)) != n or len(set(ys)) != n:
         raise ValueError("point set is not generic")
-    by_x = sorted(range(n), key=lambda idx: xs[idx])
-    yrank = {y: r + 1 for r, y in enumerate(sorted(ys))}
-    values = tuple(yrank[ys[idx]] for idx in by_x)
-    perm = Permutation(values)
+    by_x = sorted(range(n), key=xs.__getitem__)
+    yrank = {y: r for r, y in enumerate(sorted(ys), start=1)}
+    perm = Permutation(tuple(yrank[ys[idx]] for idx in by_x))
     return GriddedPermutation(perm, m, *divisions_of_cells(cells, m.cols, m.rows))
 
 
@@ -214,8 +220,7 @@ def check_realization(r: Realization) -> None:
     if got != r.gridded:
         raise ValueError("realization does not read back to its gridding")
     # Points are listed by entry: x must increase with position.
-    xs = [p[0] for p in r.points]
-    if xs != sorted(xs):
+    if any(p[0] > q[0] for p, q in zip(r.points, r.points[1:])):
         raise ValueError("points are not listed in position order")
 
 

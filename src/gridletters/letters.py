@@ -97,19 +97,27 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     representatives out of 65,536 subsets); the witness search walks them
     only at the decided lettericity.
     """
-    perms = list(itertools.permutations(range(k)))
-    pair_list = [(i, j) for i in range(k) for j in range(k)]
+    # Pair (i, j) is bit i*k + j, so sorted pairs compare as ascending bit
+    # indices.  Each orbit is walked once; its members have equal bit counts,
+    # so the least holds the lowest bit in which it differs from each other.
+    images = [
+        [1 << (sig[b // k] * k + sig[b % k]) for b in range(k * k)]
+        for sig in itertools.permutations(range(k))
+    ]
+    pairs = [(b // k, b % k) for b in range(k * k)]
+    seen = bytearray(1 << (k * k))
     reps = []
     for mask in range(1 << (k * k)):
-        pairs = frozenset(p for b, p in enumerate(pair_list) if mask >> b & 1)
-        canonical = True
-        for sig in perms:
-            mapped = frozenset((sig[i], sig[j]) for i, j in pairs)
-            if sorted(mapped) < sorted(pairs):
-                canonical = False
-                break
-        if canonical:
-            reps.append(pairs)
+        if seen[mask]:
+            continue
+        best = mask
+        for image in images:
+            mapped = sum(bit for b, bit in enumerate(image) if mask >> b & 1)
+            seen[mapped] = 1
+            diff = mapped ^ best
+            if diff & -diff & mapped:
+                best = mapped
+        reps.append(frozenset(p for b, p in enumerate(pairs) if best >> b & 1))
     reps.sort(key=sorted)
     return tuple(reps)
 

@@ -4,14 +4,14 @@ experiment command's --verify flag.
 These deliberately share no search code with the modules they validate:
 containment tests every index subset, the lettericity oracle enumerates
 decoders and words outright, and the geometric membership oracle walks
-every cell assignment and sign vector with a plain cycle check.  Input
+every cell assignment and every consistent sign vector (found per connected
+component of the column/row graph) with a plain cycle check.  Input
 sizes are capped; past the caps the oracles refuse rather than crawl.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
 
 from . import graphs
 from .gridding import GridMatrix, double, pmm_signs
@@ -81,14 +81,40 @@ def lettericity_oracle(g: graphs.SimpleGraph) -> int:
     raise AssertionError("every graph admits an n-lettering")
 
 
-def _sign_vectors(m: GridMatrix) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # Every candidate sign vector consistent with the nonzero entries.
+def _sign_vectors(m: GridMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # Every sign vector consistent with the nonzero entries, in product order
+    # (columns then rows, +1 before -1).  An entry ties its row's sign to its
+    # column's, so one sign per connected component of the column/row graph
+    # (columns 0..t-1, rows t..t+u-1) fixes the rest: 2^components vectors,
+    # or none once a tie conflicts.
     t, u = m.cols, m.rows
-    nonzero = m.nonzero_cells()
-    for cs in itertools.product((1, -1), repeat=t):
-        for rs in itertools.product((1, -1), repeat=u):
-            if all(m.entry(k, l) == cs[k - 1] * rs[l - 1] for k, l in nonzero):
-                yield cs, rs
+    ties: list[list[tuple[int, int]]] = [[] for _ in range(t + u)]
+    for k, col in enumerate(m.entries):
+        for l, e in enumerate(col):
+            if e:
+                ties[k].append((t + l, e))
+                ties[t + l].append((k, e))
+    sign = [0] * (t + u)
+    components: list[list[int]] = []
+    for root in range(t + u):
+        if not sign[root]:
+            sign[root] = 1
+            components.append([root])
+            for a in components[-1]:  # grows while it is walked
+                for b, e in ties[a]:
+                    if not sign[b]:
+                        sign[b] = sign[a] * e
+                        components[-1].append(b)
+                    elif sign[b] != sign[a] * e:
+                        return []
+    vectors = []
+    for flips in itertools.product((1, -1), repeat=len(components)):
+        s = sign[:]
+        for flip, component in zip(flips, components):
+            for a in component:
+                s[a] *= flip
+        vectors.append((tuple(s[:t]), tuple(s[t:])))
+    return sorted(vectors, reverse=True)
 
 
 def _has_cycle(n: int, edges: set[tuple[int, int]]) -> bool:
@@ -134,7 +160,7 @@ def geom_member_oracle(pi: Permutation, m: GridMatrix) -> bool:
         start = rows[-1] if rows else 1
         for l in range(start, u + 1):
             i = pos_of[v]
-            e = work.entry(cols[i - 1], l)
+            e = work.entries[cols[i - 1] - 1][l - 1]
             if e == 0:
                 continue
             ok = True
@@ -143,7 +169,7 @@ def geom_member_oracle(pi: Permutation, m: GridMatrix) -> bool:
                 if cols[j - 1] == cols[i - 1] and rows[w - 1] == l:
                     lo, hi = (j, i) if j < i else (i, j)
                     want = 1 if pi.at(lo) < pi.at(hi) else -1
-                    if work.entry(cols[i - 1], l) != want:
+                    if e != want:
                         ok = False
                         break
             if ok:

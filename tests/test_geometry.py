@@ -1,10 +1,13 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from gridletters.geometry import (
     CellWord,
+    LocalOrders,
+    Realization,
     base_point,
     check_realization,
     consistency,
@@ -25,13 +28,18 @@ from gridletters.geometry import (
 from gridletters.gridding import (
     GriddedPermutation,
     all_griddings,
+    divisions_of_cells,
     double,
+    find_gridding,
     from_display_rows,
     grid_matrix,
+    iter_griddings,
     iter_sign_vectors,
     pmm_signs,
 )
+from gridletters.letters import LetteringCache
 from gridletters.perm import Permutation, contains, inversion_graph, parse_permutation
+from gridletters.pipeline import geometrize
 
 P = parse_permutation
 
@@ -401,3 +409,174 @@ class TestEmbedInUniversal:
         assert r is not None and r.gridded.perm == gp.perm
         with pytest.raises(ValueError):
             embed_in_universal(gp, signs, 1, 1)
+
+
+def fraction_read_points(m, points):
+    # Reference read-back in Fraction arithmetic, test by test.
+    n = len(points)
+    cells = []
+    for x, y in points:
+        k = math.floor(x) + 1
+        l = math.floor(y) + 1
+        if x == k - 1 or y == l - 1:
+            raise ValueError(f"point ({x}, {y}) on a cell boundary")
+        if not (1 <= k <= m.cols and 1 <= l <= m.rows):
+            raise ValueError(f"point ({x}, {y}) outside the grid")
+        e = m.entry(k, l)
+        tx = x - (k - 1)
+        if e == 1 and y - (l - 1) != tx:
+            raise ValueError(f"point ({x}, {y}) off the increasing diagonal")
+        if e == -1 and l - y != tx:
+            raise ValueError(f"point ({x}, {y}) off the decreasing diagonal")
+        if e == 0:
+            raise ValueError(f"point ({x}, {y}) in an empty cell")
+        cells.append((k, l))
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    if len(set(xs)) != n or len(set(ys)) != n:
+        raise ValueError("point set is not generic")
+    by_x = sorted(range(n), key=lambda idx: xs[idx])
+    yrank = {y: r + 1 for r, y in enumerate(sorted(ys))}
+    perm = Permutation(tuple(yrank[ys[idx]] for idx in by_x))
+    return GriddedPermutation(perm, m, *divisions_of_cells(cells, m.cols, m.rows))
+
+
+def read_outcome(read, m, points):
+    try:
+        return read(m, points)
+    except ValueError as exc:
+        return str(exc)
+
+
+def perturbations(m, points):
+    # Each point moved onto a boundary, out of the grid, off its diagonal,
+    # into every empty cell and onto its neighbour's x or y, or doubled onto
+    # another diagonal of its column; then all points on integers.
+    zero_cells = [
+        (k, l)
+        for k in range(1, m.cols + 1)
+        for l in range(1, m.rows + 1)
+        if m.entry(k, l) == 0
+    ]
+    for i, (x, y) in enumerate(points):
+        fx, fy = x - math.floor(x), y - math.floor(y)
+        moved = [
+            (Fraction(math.floor(x)), y),
+            (x, Fraction(math.floor(y) + 1)),
+            (x + m.cols, y),
+            (x, y - m.rows),
+            (x, y + Fraction(1, 3 * len(points) + 3)),
+            (x - Fraction(1, 5 * len(points) + 5), y),
+            (points[i - 1][0], y),
+            (x, points[i - 1][1]),
+        ]
+        moved += [(k - 1 + fx, l - 1 + fy) for k, l in zero_cells]
+        for p in moved:
+            yield points[:i] + (p,) + points[i + 1 :]
+        # A second point on another diagonal of the same column, at equal x.
+        k = math.floor(x) + 1
+        for l in range(1, m.rows + 1):
+            if l - 1 != math.floor(y) and m.entry(k, l) != 0:
+                yield points + ((x, l - 1 + (fx if m.entry(k, l) == 1 else 1 - fx)),)
+    yield tuple((math.floor(x), math.ceil(y)) for x, y in points)
+
+
+def griddings_up_to(n_max, m):
+    for n in range(n_max + 1):
+        for pi in perms_of(n):
+            yield from iter_griddings(pi, m)
+
+
+class TestReadPointsAgainstFractions:
+    def check(self, m, points):
+        got = read_outcome(read_points, m, points)
+        assert got == read_outcome(fraction_read_points, m, points), points
+        return got
+
+    def test_realizations_up_to_6(self, x_matrix, v_matrix, fan_matrix):
+        count = 0
+        kinds = set()
+        for m in (x_matrix, v_matrix, fan_matrix):
+            signs = pmm_signs(m)
+            for gp in griddings_up_to(6, m):
+                r = realize(gp, signs)
+                if r is None:
+                    continue
+                assert self.check(m, r.points) == gp
+                count += 1
+                if len(gp.perm) <= 4:
+                    for moved in perturbations(m, r.points):
+                        got = self.check(m, moved)
+                        if isinstance(got, str):
+                            kinds.add(got.split(") ")[-1])
+        assert count == 2703 + 127 + 7279
+        assert kinds == {
+            "on a cell boundary",
+            "outside the grid",
+            "off the increasing diagonal",
+            "off the decreasing diagonal",
+            "in an empty cell",
+            "point set is not generic",
+        }
+
+    def test_inflated_drawings_mix_denominators(self, x_matrix):
+        m = x_matrix
+        cache = LetteringCache()
+        mixed = 0
+        for n in range(7):
+            for pi in perms_of(n):
+                if find_gridding(pi, m) is None:
+                    continue
+                r = geometrize(pi, m, 3, cache).realization
+                assert self.check(r.gridded.matrix, r.points) == r.gridded
+                mixed += len({c.denominator for p in r.points for c in p}) > 1
+                if n <= 4:
+                    for moved in perturbations(r.gridded.matrix, r.points):
+                        self.check(r.gridded.matrix, moved)
+        assert mixed > 0
+
+    def test_integer_and_empty_point_sets(self, one_cell, v_matrix):
+        empty = GriddedPermutation(Permutation(()), one_cell, (1, 1), (1, 1))
+        assert self.check(one_cell, ()) == empty
+        half = Fraction(1, 2)
+        for m in (one_cell, v_matrix):
+            for points in ([(1, 1)], [(0, 0)], [(2, 1)], [(1, 2), (half, half)]):
+                assert "on a cell boundary" in self.check(m, points)
+
+    def test_check_realization_rejects_points_out_of_position_order(self, one_cell):
+        gp = GriddedPermutation(P("12"), one_cell, (1, 3), (1, 3))
+        points = ((Fraction(2, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 3)))
+        # The set reads back to gp; only the listing order is wrong.
+        assert read_points(one_cell, points) == gp
+        with pytest.raises(ValueError, match="not listed in position order"):
+            check_realization(Realization(gp, pmm_signs(one_cell), points))
+
+
+def per_line_local_orders(gp, signs):
+    # Reference local orders, one entries_in_column / entries_in_row per line.
+    cols = []
+    for k in range(1, gp.matrix.cols + 1):
+        chain = list(gp.entries_in_column(k))
+        if signs.col_signs[k - 1] == -1:
+            chain.reverse()
+        cols.append(tuple(chain))
+    rows = []
+    for l in range(1, gp.matrix.rows + 1):
+        chain = sorted(gp.entries_in_row(l), key=gp.perm.at)
+        if signs.row_signs[l - 1] == -1:
+            chain.reverse()
+        rows.append(tuple(chain))
+    return LocalOrders(len(gp.perm), tuple(cols), tuple(rows))
+
+
+class TestLocalOrdersAgainstPerLine:
+    def test_griddings_up_to_6_and_universal_images(self, x_matrix, v_matrix, fan_matrix):
+        count = 0
+        for m in (x_matrix, v_matrix, fan_matrix):
+            for gp in griddings_up_to(6, m):
+                for signs in iter_sign_vectors(m):
+                    assert local_orders(gp, signs) == per_line_local_orders(gp, signs)
+                gp_s, signs_s = embed_in_universal(gp, pmm_signs(m), 26, 26)
+                assert local_orders(gp_s, signs_s) == per_line_local_orders(gp_s, signs_s)
+                count += 1
+        assert count == 2909 + 127 + 7587

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridletters import letters
+from gridletters import letters, oracle
 from gridletters.graphs import (
     complement,
     family,
@@ -298,6 +298,12 @@ class TestCanonicalDecoders:
         for dec in canonical_decoders(2):
             swapped = frozenset((1 - a, 1 - b) for a, b in dec)
             assert sorted(dec) <= sorted(swapped)
+
+    def test_match_the_oracle_orbit_representatives(self):
+        # The oracle tests every mask against every renaming.
+        for k in range(5):
+            assert canonical_decoders(k) == tuple(sorted(oracle._decoder_reps(k), key=sorted))
+        assert len(canonical_decoders(4)) == 3044
 
 
 class TestTextFormats:

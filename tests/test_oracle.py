@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridletters import oracle
 from gridletters.geometry import geom_member
 from gridletters.graphs import family, graph
+from gridletters.gridding import GridMatrix
 from gridletters.letters import lettericity
 from gridletters.oracle import (
+    _sign_vectors,
     containment_oracle,
     geom_member_oracle,
     lettericity_oracle,
 )
+from gridletters.pipeline import class_experiment
 from gridletters.perm import Permutation, contains, identity, parse_permutation
 
 P = parse_permutation
@@ -83,3 +87,74 @@ class TestGeomMemberOracle:
     def test_cap(self, one_cell):
         with pytest.raises(ValueError):
             geom_member_oracle(identity(8), one_cell)
+
+
+def product_sign_vectors(m):
+    # Every (column, row) sign vector in product order, kept when it factors
+    # each nonzero entry.
+    nonzero = m.nonzero_cells()
+    return [
+        (cs, rs)
+        for cs in itertools.product((1, -1), repeat=m.cols)
+        for rs in itertools.product((1, -1), repeat=m.rows)
+        if all(m.entry(k, l) == cs[k - 1] * rs[l - 1] for k, l in nonzero)
+    ]
+
+
+def line_components(m):
+    # Connected components of the graph on columns and rows joined by the
+    # nonzero entries, by union-find.
+    parent = list(range(m.cols + m.rows))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for k in range(m.cols):
+        for l in range(m.rows):
+            if m.entries[k][l]:
+                parent[find(k)] = find(m.cols + l)
+    return len({find(a) for a in range(m.cols + m.rows)})
+
+
+def small_matrices():
+    for t in range(4):
+        for u in range(4):
+            for cells in itertools.product((0, 1, -1), repeat=t * u):
+                yield GridMatrix(
+                    t, u, tuple(tuple(cells[k * u : (k + 1) * u]) for k in range(t))
+                )
+
+
+class TestSignVectors:
+    def check(self, m):
+        got = _sign_vectors(m)
+        want = product_sign_vectors(m)
+        assert got == want, m
+        assert len(got) == (2 ** line_components(m) if want else 0), m
+        return got
+
+    def test_matches_the_product_filter_up_to_3x3(self):
+        seen = conflicts = 0
+        for m in small_matrices():
+            seen += 1
+            conflicts += not self.check(m)
+        # Every shape 0x0..3x3, including zero rows and columns; the 2x2
+        # matrices with an odd number of -1s have no consistent vector.
+        assert seen == sum(3 ** (t * u) for t in range(4) for u in range(4))
+        assert conflicts > 0
+
+    def test_matches_the_product_filter_on_sweep_outputs(self, monkeypatch, x_matrix):
+        matrices = []
+        original = oracle.geom_member_oracle
+
+        def recording(pi, m):
+            matrices.append(m)
+            return original(pi, m)
+
+        monkeypatch.setattr(oracle, "geom_member_oracle", recording)
+        report = class_experiment(6, x_matrix, 3, verify_with_oracle=True)
+        assert report.ok and len(matrices) == len(report.rows) == 457
+        for m in set(matrices):
+            self.check(m)
