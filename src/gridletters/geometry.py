@@ -19,7 +19,7 @@ import heapq
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .gridding import (
     GriddedPermutation,
@@ -149,12 +149,15 @@ class Realization:
         return float(self.offset(i)) * 2 ** 0.5
 
 
-def _point_on_cell(cell: Cell, sign: int, signs: SignedMatrix, offset: Fraction) -> Point:
+def _point_on_cell(
+    cell: Cell, sign: int, signs: SignedMatrix, p: Union[int, Fraction], d: int = 1
+) -> Point:
+    # The point at offset p/d from the cell's base point: each coordinate is
+    # one Fraction over d, built from integers when p is one.
     k, l = cell
-    tx = offset if signs.col_signs[k - 1] == 1 else 1 - offset
-    x = (k - 1) + tx
-    y = (l - 1) + tx if sign == 1 else l - tx
-    return x, y
+    tx = p if signs.col_signs[k - 1] == 1 else d - p
+    y = (l - 1) * d + tx if sign == 1 else l * d - tx
+    return Fraction((k - 1) * d + tx, d), Fraction(y, d)
 
 
 def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization]:
@@ -162,7 +165,9 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
 
     Offsets are psi(i)/(n+1), i.e. distances d_i = i * sqrt(2)/(n+1); any
     increasing sequence in (0, sqrt(2)) would produce the same gridded
-    permutation.
+    permutation.  Every coordinate is an integer over the common
+    denominator n + 1 (a Fraction in lowest terms, so its denominator
+    divides n + 1).
     """
     psi = consistency(local_orders(gp, signs))
     if psi is None:
@@ -171,8 +176,8 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
     points = []
     for i in range(1, n + 1):
         cell = gp.cell_of(i)
-        sign = gp.matrix.entry(*cell)
-        points.append(_point_on_cell(cell, sign, signs, Fraction(psi[i - 1], n + 1)))
+        sign = gp.matrix.entries[cell[0] - 1][cell[1] - 1]
+        points.append(_point_on_cell(cell, sign, signs, psi[i - 1], n + 1))
     r = Realization(gp, signs, tuple(points))
     check_realization(r)
     return r
@@ -258,7 +263,7 @@ def _word_points(w: CellWord, signs: SignedMatrix) -> tuple[Point, ...]:
     pts = []
     for p, cell in enumerate(w.letters, start=1):
         sign = w.matrix.entry(*cell)
-        pts.append(_point_on_cell(cell, sign, signs, Fraction(p, n + 1)))
+        pts.append(_point_on_cell(cell, sign, signs, p, n + 1))
     return tuple(pts)
 
 

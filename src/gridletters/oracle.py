@@ -14,7 +14,7 @@ import functools
 import itertools
 
 from . import graphs
-from .gridding import GridMatrix, double, pmm_signs
+from .gridding import GridMatrix, double
 from .perm import Permutation
 
 GEOM_ORACLE_MAX_LENGTH = 7
@@ -141,12 +141,14 @@ def geom_member_oracle(pi: Permutation, m: GridMatrix) -> bool:
     candidate sign vector, accepting iff some combination is acyclic."""
     if len(pi) > GEOM_ORACLE_MAX_LENGTH:
         raise ValueError(f"geometric membership oracle capped at length {GEOM_ORACLE_MAX_LENGTH}")
-    work = m if pmm_signs(m) is not None else double(m)
+    work, sign_choices = m, _sign_vectors(m)
+    if not sign_choices:  # m admits no signs: use its double
+        work = double(m)
+        sign_choices = _sign_vectors(work)
     t, u = work.cols, work.rows
     n = len(pi)
     if n == 0:
         return True
-    sign_choices = list(_sign_vectors(work))
     pos_of = {v: i for i, v in enumerate(pi.values, start=1)}
 
     def rows_extend(cols: tuple[int, ...], rows: list[int], v: int) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -272,29 +273,43 @@ def _inflate_points(
     Each contracted entry's point becomes a short monotone run along its
     cell's diagonal, inside a radius below half the smallest coordinate gap,
     so all reading orders outside the run are untouched.
+
+    The gap is the least distance from a point to its cell's boundary or
+    between two distinct x (or y) coordinates.  The least nonzero difference
+    within a set of numbers is always between two neighbours in sorted
+    order, so the sorted coordinates give it in O(n log n).  All of it runs
+    on integer numerators over d, the common denominator of the points
+    (n + 1 for a drawing from `realize`), and each new coordinate is one
+    Fraction.
     """
     points = contracted.points
     cells = tuple(contracted.gridded.cell_of(i) for i in range(1, len(points) + 1))
     if all(a == b for a, b in groups):
         return cells, points
+    d = math.lcm(*(c.denominator for point in points for c in point))
+    xs = [x.numerator * (d // x.denominator) for x, _ in points]
+    ys = [y.numerator * (d // y.denominator) for _, y in points]
     margins = []
-    for (x, y), (k, l) in zip(points, cells):
-        margins.extend((x - (k - 1), k - x, y - (l - 1), l - y))
-    for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
-        if x1 != x2:
-            margins.append(abs(x1 - x2))
-        if y1 != y2:
-            margins.append(abs(y1 - y2))
+    for x, y, (k, l) in zip(xs, ys, cells):
+        margins.extend((x - (k - 1) * d, k * d - x, y - (l - 1) * d, l * d - y))
+    for coords in (xs, ys):
+        line = sorted(set(coords))
+        margins.extend(b - a for a, b in zip(line, line[1:]))
     gap = min(margins)
     new_cells: list[Cell] = []
     new_points: list[Point] = []
-    for (x, y), cell, (a, b) in zip(points, cells, groups):
+    for x, y, cell, (a, b) in zip(xs, ys, cells, groups):
         length = b - a + 1
-        sign = contracted.gridded.matrix.entry(*cell)
+        sign = contracted.gridded.matrix.entries[cell[0] - 1][cell[1] - 1]
+        # Over the denominator 4 * length * d, the q-th point moves by
+        # dx = (2q - length - 1) * gap along the diagonal.
+        den = 4 * length * d
+        x4, y4 = x * 4 * length, y * 4 * length
         for q in range(1, length + 1):
-            dx = Fraction(2 * q - length - 1, 4 * length) * gap
+            dx = (2 * q - length - 1) * gap
             new_cells.append(cell)
-            new_points.append((x + dx, y + dx if sign == 1 else y - dx))
+            y_new = y4 + dx if sign == 1 else y4 - dx
+            new_points.append((Fraction(x4 + dx, den), Fraction(y_new, den)))
     return tuple(new_cells), tuple(new_points)
 
 
@@ -513,11 +528,27 @@ def class_experiment(
 
 
 def _universal_ok(result: GeometrizeResult, t: int, u: int) -> bool:
-    # A drawing on the full-bound universal figure is a complete membership
-    # witness; realize validates it by coordinate read-back.
+    """Whether the drawing `geometrize` returned, moved onto the universal
+    figure of t x u blocks, reads back to the embedded gridding of pi.
+
+    `embed_in_universal` sends column k to the column K of block k that has
+    the same sign, and row l to the row L of block l likewise; the universal
+    matrix is col sign times row sign, so cell (K, L) carries the diagonal
+    of cell (k, l), and shifting each point by (K - k, L - l) moves it onto
+    that diagonal.  A point set on the full-bound universal figure that
+    reads back to the embedding is a complete membership witness.
+    """
+    real = result.realization
+    col_signs, row_signs = real.signs.col_signs, real.signs.row_signs
     try:
         gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
-        real = geometry.realize(gp_s, signs_s)
+        points = []
+        for i, (x, y) in enumerate(real.points, start=1):
+            k, l = real.gridded.cell_of(i)
+            dx = k if col_signs[k - 1] == 1 else k - 1
+            dy = l - 1 if row_signs[l - 1] == 1 else l
+            points.append((x + dx, y + dy))
+        geometry.check_realization(Realization(gp_s, signs_s, tuple(points)))
     except ValueError:
         return False
-    return real is not None and real.gridded.perm == result.gridded.perm
+    return True

@@ -8,6 +8,7 @@ from gridletters.geometry import (
     CellWord,
     LocalOrders,
     Realization,
+    _word_points,
     base_point,
     check_realization,
     consistency,
@@ -580,3 +581,52 @@ class TestLocalOrdersAgainstPerLine:
                 assert local_orders(gp_s, signs_s) == per_line_local_orders(gp_s, signs_s)
                 count += 1
         assert count == 2909 + 127 + 7587
+
+
+def fraction_point_on_cell(cell, sign, signs, offset):
+    # Reference point at a Fraction offset, in Fraction operations.
+    k, l = cell
+    tx = offset if signs.col_signs[k - 1] == 1 else 1 - offset
+    x = (k - 1) + tx
+    y = (l - 1) + tx if sign == 1 else l - tx
+    return x, y
+
+
+def fraction_realize_points(gp, signs):
+    # Reference drawing of gp: entry i at offset psi(i)/(n+1), or None.
+    psi = consistency(local_orders(gp, signs))
+    if psi is None:
+        return None
+    n = len(gp.perm)
+    return tuple(
+        fraction_point_on_cell(
+            gp.cell_of(i), gp.matrix.entry(*gp.cell_of(i)), signs, Fraction(psi[i - 1], n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+
+
+class TestRealizeAgainstFractions:
+    def test_griddings_up_to_6(self, x_matrix, v_matrix, fan_matrix):
+        count = drawn = 0
+        for m in (x_matrix, v_matrix, fan_matrix):
+            sign_choices = list(iter_sign_vectors(m))
+            for gp in griddings_up_to(6, m):
+                n = len(gp.perm)
+                for signs in sign_choices:
+                    r = realize(gp, signs)
+                    want = fraction_realize_points(gp, signs)
+                    assert (r is None) == (want is None), gp
+                    count += 1
+                    if r is None:
+                        continue
+                    drawn += 1
+                    assert r.points == want, gp
+                    assert all((n + 1) % c.denominator == 0 for p in r.points for c in p)
+                    word = encode_gridded(gp, signs)
+                    assert _word_points(word, signs) == tuple(
+                        fraction_point_on_cell(cell, m.entry(*cell), signs, Fraction(p, n + 1))
+                        for p, cell in enumerate(word.letters, start=1)
+                    )
+        assert count == 2 * (2909 + 127 + 7587)
+        assert 0 < drawn < count

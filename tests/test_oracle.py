@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridletters import oracle
+from gridletters import gridding, oracle
 from gridletters.geometry import geom_member
 from gridletters.graphs import family, graph
 from gridletters.gridding import GridMatrix
@@ -158,3 +158,25 @@ class TestSignVectors:
         assert report.ok and len(matrices) == len(report.rows) == 457
         for m in set(matrices):
             self.check(m)
+
+
+class TestOracleIndependence:
+    def test_decides_doubling_without_the_library_sign_search(
+        self, monkeypatch, x_matrix, non_pmm_matrix
+    ):
+        cases = [
+            (m, pi, geom_member(pi, m))
+            for m in (x_matrix, non_pmm_matrix)
+            for n in range(6)
+            for pi in perms_of(n)
+        ]
+        assert {want for _, _, want in cases} == {True, False}
+
+        def refuse(m):
+            raise AssertionError("the oracle used the library's sign search")
+
+        monkeypatch.setattr(gridding, "pmm_signs", refuse)
+        monkeypatch.setattr(gridding, "iter_sign_vectors", refuse)
+        assert not _sign_vectors(non_pmm_matrix)
+        for m, pi, want in cases:
+            assert geom_member_oracle(pi, m) == want, (m, pi)

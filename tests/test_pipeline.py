@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from gridletters.pipeline import (
     LetteringNotFoundError,
     NotGriddableError,
     PipelineError,
+    _inflate_points,
     _universal_ok,
     class_experiment,
     contract_gridded,
@@ -503,3 +505,116 @@ class TestClassExperiment:
         cache = LetteringCache()
         for pi in skew_merged_upto(5, x_matrix):
             assert geometrize(pi, x_matrix, 3, cache) == geometrize(pi, x_matrix, 3)
+
+
+def reference_inflate_points(contracted, groups):
+    """Inflation with the gap taken over every pair of points, in Fraction
+    operations."""
+    points = contracted.points
+    cells = tuple(contracted.gridded.cell_of(i) for i in range(1, len(points) + 1))
+    if all(a == b for a, b in groups):
+        return cells, points
+    margins = []
+    for (x, y), (k, l) in zip(points, cells):
+        margins.extend((x - (k - 1), k - x, y - (l - 1), l - y))
+    for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
+        if x1 != x2:
+            margins.append(abs(x1 - x2))
+        if y1 != y2:
+            margins.append(abs(y1 - y2))
+    gap = min(margins)
+    new_cells, new_points = [], []
+    for (x, y), cell, (a, b) in zip(points, cells, groups):
+        length = b - a + 1
+        sign = contracted.gridded.matrix.entry(*cell)
+        for q in range(1, length + 1):
+            dx = Fraction(2 * q - length - 1, 4 * length) * gap
+            new_cells.append(cell)
+            new_points.append((x + dx, y + dx if sign == 1 else y - dx))
+    return tuple(new_cells), tuple(new_points)
+
+
+def reference_universal_ok(result, t, u):
+    """The universal check that draws the embedded gridding afresh."""
+    try:
+        gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
+        real = geometry.realize(gp_s, signs_s)
+    except ValueError:
+        return False
+    return real is not None and real.gridded.perm == result.gridded.perm
+
+
+class TestDrawingTailAgainstReferences:
+    def test_geometrize_rows_up_to_6(self, x_matrix, v_matrix, fan_matrix):
+        rows = inflated = tampered = 0
+        for m, r in ((x_matrix, 3), (v_matrix, 4), (fan_matrix, 4)):
+            t, u = m.cols, m.rows
+            bound = (t * (1 + 2 * u * r), u * (1 + 2 * t * r))
+            cache = LetteringCache()
+            for n in range(7):
+                for pi in perms_of(n):
+                    if find_gridding(pi, m) is None:
+                        continue
+                    result = geometrize(pi, m, r, cache)
+                    sigma_real = geometry.realize(result.contracted_gridded, result.signed)
+                    groups = contract_gridded(result.initial_gridding)[1]
+                    got = _inflate_points(sigma_real, groups)
+                    assert got == reference_inflate_points(sigma_real, groups), pi
+                    assert got[1] == result.realization.points
+                    inflated += len(groups) < n
+                    assert _universal_ok(result, *bound) is True
+                    assert reference_universal_ok(result, *bound) is True
+                    rows += 1
+                    if m is x_matrix and n <= 4:
+                        # Other griddings by the output matrix with no
+                        # drawing: both checks reject them.
+                        for gp in iter_griddings(pi, result.signed.matrix):
+                            if geometry.realize(gp, result.signed) is None:
+                                bad = dataclasses.replace(result, gridded=gp)
+                                assert not _universal_ok(bad, *bound)
+                                assert not reference_universal_ok(bad, *bound)
+                                tampered += 1
+        assert rows == 458 + 64 + 710
+        assert inflated > 0 and tampered > 0
+
+
+class TestUniversalCheckReadsTheDrawing:
+    @pytest.fixture
+    def result(self, x_matrix):
+        return geometrize(P("13425"), x_matrix, 3)
+
+    @staticmethod
+    def with_points(result, points):
+        return dataclasses.replace(
+            result, realization=dataclasses.replace(result.realization, points=tuple(points))
+        )
+
+    def test_rejects_a_point_moved_off_its_diagonal(self, result):
+        assert _universal_ok(result, 26, 26)
+        for i, (x, y) in enumerate(result.realization.points):
+            points = list(result.realization.points)
+            points[i] = (x, y + Fraction(1, 1000))
+            assert not _universal_ok(self.with_points(result, points), 26, 26), i
+
+    def test_rejects_two_points_swapped(self, result):
+        assert _universal_ok(result, 26, 26)
+        real = result.realization
+        same_cell = 0
+        for i, j in itertools.combinations(range(len(real.points)), 2):
+            points = list(real.points)
+            points[i], points[j] = points[j], points[i]
+            assert not _universal_ok(self.with_points(result, points), 26, 26), (i, j)
+            same_cell += real.gridded.cell_of(i + 1) == real.gridded.cell_of(j + 1)
+        assert same_cell > 0
+
+    def test_rejects_a_gridding_its_drawing_does_not_read_back_to(self, result):
+        # Another gridding by the output matrix that has a drawing of its
+        # own: a fresh drawing accepts it, the returned drawing does not.
+        other = next(
+            gp
+            for gp in iter_griddings(result.gridded.perm, result.signed.matrix)
+            if gp != result.gridded and geometry.realize(gp, result.signed) is not None
+        )
+        swapped = dataclasses.replace(result, gridded=other)
+        assert reference_universal_ok(swapped, 26, 26)
+        assert not _universal_ok(swapped, 26, 26)
