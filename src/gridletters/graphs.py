@@ -1,8 +1,12 @@
 """Finite simple graphs on vertex sets {1, ..., n}.
 
 Everything here is immutable: a graph is an order together with a frozenset
-of normalized edge pairs (u, v) with u < v.  The isomorphism search is a
-plain backtracker with degree pruning, intended for orders up to ~12.
+of normalized edge pairs (u, v) with u < v.  Isomorphism has two searches,
+both intended for orders up to ~12: `canonical_form`, one
+individualization-refinement search giving a certificate that is equal
+exactly for isomorphic graphs and the automorphism orbits, and
+`find_isomorphism`, a plain backtracker with degree pruning that returns an
+explicit bijection.
 """
 from __future__ import annotations
 
@@ -61,16 +65,6 @@ def adjacency_masks(g: SimpleGraph) -> tuple[int, ...]:
         masks[u - 1] |= 1 << (v - 1)
         masks[v - 1] |= 1 << (u - 1)
     return tuple(masks)
-
-
-def invariant_key(g: SimpleGraph) -> tuple[int, int, tuple[int, ...]]:
-    """Order, edge count and sorted degrees: equal for isomorphic graphs.
-
-    >>> invariant_key(family("path", 3))
-    (3, 2, (1, 1, 2))
-    """
-    degrees = sorted(bin(mask).count("1") for mask in adjacency_masks(g))
-    return g.order, len(g.edges), tuple(degrees)
 
 
 def complement(g: SimpleGraph) -> SimpleGraph:
@@ -143,7 +137,7 @@ def find_isomorphism(
     """An adjacency-preserving bijection g -> h, or None.
 
     Returned as a tuple m with m[u-1] = image of vertex u.  With pin=(u, v)
-    only bijections mapping u to v are considered (used for orbit computation).
+    only bijections mapping u to v are considered.
     """
     n = g.order
     if n != h.order or len(g.edges) != len(h.edges):
@@ -211,23 +205,143 @@ def _bits(mask: int):
         mask ^= low
 
 
-@functools.lru_cache(maxsize=1024)
-def vertex_orbits(g: SimpleGraph) -> tuple[int, ...]:
-    """Automorphism orbit id per vertex (orbit of the least member)."""
-    n = g.order
-    parent = list(range(n))
+def _refine(adj: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """Split the ordered partition `cells` until it is equitable: every two
+    vertices of a cell have equally many neighbours in each cell.
 
-    def find(x):
+    `splitters` holds the masks of vertex sets whose counts are still to be
+    compared.  A split cell is replaced in place by its parts in ascending
+    order of count, and all parts but the first largest become splitters
+    (Hopcroft's rule; the count into the largest part is the count into
+    the whole cell minus the others).  Every choice depends on positions
+    and counts only, so relabelling the graph relabels the result.
+    """
+    n = len(adj)
+    while splitters and len(cells) < n:
+        s = splitters.pop()
+        new: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                new.append(cell)
+                continue
+            counts = [(adj[v] & s).bit_count() for v in cell]
+            if min(counts) == max(counts):
+                new.append(cell)
+                continue
+            parts: dict[int, list[int]] = {}
+            for v, c in zip(cell, counts):
+                parts.setdefault(c, []).append(v)
+            parts_in_order = [parts[c] for c in sorted(parts)]
+            largest = max(parts_in_order, key=len)
+            for part in parts_in_order:
+                new.append(part)
+                if part is not largest:
+                    splitters.append(sum(1 << v for v in part))
+        cells = new
+    return cells
+
+
+@functools.lru_cache(maxsize=1024)
+def canonical_form(g: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(certificate, orbits): equal certificates iff isomorphic graphs, and
+    the automorphism orbit id per vertex (0-based; an orbit is named by its
+    least member).
+
+    One individualization-refinement search (McKay and Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60, 2014).  A node is an
+    equitable ordered partition; its children individualize each vertex of
+    its first smallest non-singleton cell.  A leaf orders the vertices, and
+    its certificate is the tuple of adjacency masks relabelled by that
+    order; the certificate is the least over all leaves.  Two leaves with
+    equal certificates give an automorphism, and so does swapping two
+    twins, so a twin of a searched sibling is not searched.  The
+    automorphisms found so far prune the children of a node on the first
+    path to a leaf, as all of them fix that node's individualized vertices,
+    and a leaf matching the first or the least leaf jumps back to the
+    common ancestor, whose subtree below them is an image of one already
+    searched.  The orbits are those of all the automorphisms found, which
+    generate the whole group.
+
+    >>> canonical_form(family("path", 3))[1]
+    (0, 1, 0)
+    >>> canonical_form(graph(3, [(1, 2)]))[0] == canonical_form(graph(3, [(2, 3)]))[0]
+    True
+    """
+    n = g.order
+    adj = adjacency_masks(g)
+    parent = list(range(n))
+    first = best = None  # (path, order, certificate) of the first and least leaves
+
+    def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            if find(u) != find(v) and find_isomorphism(g, g, pin=(u + 1, v + 1)):
-                parent[find(v)] = find(u)
-    return tuple(find(u) for u in range(n))
+    def merge(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    def leaf(cells: list[list[int]], path: list[int]) -> int:
+        # The depth to resume at: the common ancestor with a leaf it matches.
+        nonlocal first, best
+        order = [cell[0] for cell in cells]
+        pos = [0] * (n + 1)  # by vertex label
+        for t, v in enumerate(order):
+            pos[v + 1] = t
+        rows = [0] * n
+        for u, v in g.edges:
+            a, b = pos[u], pos[v]
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        here = path, order, tuple(rows)
+        if first is None:
+            first = best = here
+            return len(path)
+        for other in (first, best):
+            if here[2] == other[2]:
+                for a, b in zip(other[1], order):
+                    merge(a, b)
+                return next(j for j, (x, y) in enumerate(zip(path, other[0])) if x != y)
+        if here[2] < best[2]:
+            best = here
+        return len(path)
+
+    def search(cells: list[list[int]], path: list[int], on_first: bool) -> int:
+        if len(cells) == n:
+            return leaf(cells, path)
+        sizes = [len(c) if len(c) > 1 else n for c in cells]
+        t = sizes.index(min(sizes))
+        depth = len(path)
+        explored: list[int] = []
+        for w in cells[t]:
+            # Cells are ascending, so w is the least of its orbit unless an
+            # explored sibling is in that orbit.
+            if on_first and first and find(w) != w:
+                continue
+            # Swapping twins is an automorphism fixing the path.
+            for u in explored:
+                strip = ~(1 << u | 1 << w)
+                if adj[u] & strip == adj[w] & strip:
+                    merge(u, w)
+                    break
+            else:
+                rest = [v for v in cells[t] if v != w]
+                child = _refine(adj, cells[:t] + [[w], rest] + cells[t + 1 :], [1 << w])
+                back = search(child, path + [w], first is None)
+                if back < depth:
+                    return back
+                explored.append(w)
+        return depth
+
+    cells = _refine(adj, [list(range(n))], [(1 << n) - 1]) if n else []
+    search(cells, [], True)
+    return best[2], tuple(find(v) for v in range(n))
+
+
+def vertex_orbits(g: SimpleGraph) -> tuple[int, ...]:
+    """Automorphism orbit id per vertex (orbit of the least member)."""
+    return canonical_form(g)[1]
 
 
 def contains_induced(g: SimpleGraph, h: SimpleGraph) -> bool:

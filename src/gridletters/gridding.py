@@ -124,7 +124,7 @@ class GriddedPermutation:
         for divs in (self.col_divs, self.row_divs):
             if divs[0] != 1 or divs[-1] != n + 1:
                 raise ValueError("divisions must start at 1 and end at n+1")
-            if any(a > b for a, b in zip(divs, divs[1:])):
+            if list(divs) != sorted(divs):
                 raise ValueError("divisions must be nondecreasing")
         if not _cells_ok(self.perm, self.matrix, self.col_divs, self.row_divs):
             raise ValueError("cell contents violate the matrix")

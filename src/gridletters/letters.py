@@ -11,13 +11,14 @@ letters suffice, fixing each pair when a placement first tests it; only at
 the least such size does `_search_word` walk the canonical decoders, so its
 first success is the least (decoder, word) witness.
 
-`LetteringCache` keeps, per isomorphism class, the sizes known to fail, the
-decided size and the witness decoder; a later graph of the class reruns only
-that one word search.  `find_lettering` and `lettericity` are the same
-lookups on a fresh cache.
+`LetteringCache` keeps, per isomorphism class (one canonical certificate),
+the sizes known to fail, the decided size and the witness decoder; a later
+graph of the class reruns only that one word search.  `find_lettering` and
+`lettericity` are the same lookups on a fresh cache.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -258,7 +259,6 @@ class _ClassRecord:
     or fewer letters; `size` is the lettericity once decided, and `decoder`
     the least witness decoder at that size once walked."""
 
-    rep: SimpleGraph
     tried: int = 0
     size: Optional[int] = None
     decoder: Optional[frozenset[tuple[int, int]]] = None
@@ -267,26 +267,21 @@ class _ClassRecord:
 class LetteringCache:
     """Least letterings, with the search shared across isomorphic graphs.
 
-    Classes are bucketed by `graphs.invariant_key` and confirmed with
-    `graphs.find_isomorphism`.  The size is decided first, by ascending
-    `_has_lettering` checks; only a witness query then walks the canonical
-    decoders of that one size.  Answers are exactly those of a search on the
-    graph itself: a known witness decoder is rerun on the queried graph, so
-    its word and iso are the graph's own.  A cache is plain per-caller
-    state; share one only within one thread.
+    Classes are keyed by the certificate of `graphs.canonical_form`, whose
+    search also gives the vertex orbits that prune the lettering searches.
+    The size is decided first, by ascending `_has_lettering` checks; only a
+    witness query then walks the canonical decoders of that one size.
+    Answers are exactly those of a search on the graph itself: a known
+    witness decoder is rerun on the queried graph, so its word and iso are
+    the graph's own.  A cache is plain per-caller state; share one only
+    within one thread.
     """
 
     def __init__(self):
-        self._buckets: dict[tuple, list[_ClassRecord]] = {}
+        self._classes: dict[tuple[int, ...], _ClassRecord] = collections.defaultdict(_ClassRecord)
 
     def _record(self, g: SimpleGraph) -> _ClassRecord:
-        bucket = self._buckets.setdefault(graphs.invariant_key(g), [])
-        for rec in bucket:
-            if graphs.find_isomorphism(g, rec.rep) is not None:
-                return rec
-        rec = _ClassRecord(g)
-        bucket.append(rec)
-        return rec
+        return self._classes[graphs.canonical_form(g)[0]]
 
     def _decide(self, g: SimpleGraph, rec: _ClassRecord, k: int) -> bool:
         # Whether lett(g) <= k, continuing the ascending checks of g's class.

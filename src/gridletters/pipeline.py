@@ -367,24 +367,26 @@ def _geometrize_gridding(
     sigma_final = GriddedPermutation(
         sigma, signed.matrix, regridded.col_divs, regridded.row_divs
     )
-    # The drawing is read back once, here; a failed read-back is a typed
-    # failure like the others.
+    # The drawing is read back once: by `realize` when nothing was
+    # contracted, else here.  A failed read-back is a typed failure like the
+    # others.
     try:
-        sigma_real = geometry.realize(sigma_final, signed)
-        if sigma_real is None:
+        realization = geometry.realize(sigma_final, signed)
+        if realization is None:
             raise PipelineError("local orders of the regridded permutation are inconsistent")
-        cells, points = _inflate_points(sigma_real, groups)
-        t, u = signed.matrix.cols, signed.matrix.rows
-        final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
-        realization = Realization(final_gp, signed, points)
-        geometry.check_realization(realization)
+        if sigma != pi:
+            cells, points = _inflate_points(realization, groups)
+            t, u = signed.matrix.cols, signed.matrix.rows
+            final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
+            realization = Realization(final_gp, signed, points)
+            geometry.check_realization(realization)
     except PipelineError:
         raise
     except ValueError as exc:
         raise PipelineError(f"drawing of {pi} does not read back: {exc}") from exc
     return GeometrizeResult(
         signed=signed,
-        gridded=final_gp,
+        gridded=realization.gridded,
         realization=realization,
         contracted=sigma,
         contracted_gridded=sigma_final,

@@ -25,7 +25,6 @@ from gridletters.graphs import (
     family,
     find_isomorphism,
     graph,
-    invariant_key,
     is_threshold,
 )
 from gridletters.gridding import (
@@ -55,6 +54,11 @@ THRESHOLD_DECODER = {("i", "d"), ("d", "d")}
 
 def perms_of(n):
     return (Permutation(v) for v in itertools.permutations(range(1, n + 1)))
+
+
+def invariant_key(g):
+    """Order, edge count and sorted degrees: equal for isomorphic graphs."""
+    return g.order, len(g.edges), tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
 
 
 def iso_classes(graphs_iterable):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridletters.graphs import (
     SimpleGraph,
+    canonical_form,
     complement,
     contains_induced,
     distinguished,
@@ -135,6 +137,154 @@ class TestIsomorphism:
     def test_vertex_orbits(self):
         assert vertex_orbits(family("cycle", 5)) == (0, 0, 0, 0, 0)
         assert vertex_orbits(family("path", 3)) == (0, 1, 0)
+
+
+def reference_orbits(g):
+    """Orbit id per vertex by pinned probes: u and v share an orbit iff some
+    automorphism maps u to v."""
+    n = g.order
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if find(u) != find(v) and find_isomorphism(g, g, pin=(u + 1, v + 1)):
+                parent[find(v)] = find(u)
+    return tuple(find(u) for u in range(n))
+
+
+def reference_class_ids(graphs):
+    """Isomorphism class id per graph: bucket by order, edge count and sorted
+    degrees, then probe each bucket member with find_isomorphism."""
+    buckets, ids, fresh = {}, [], itertools.count()
+    for g in graphs:
+        degrees = tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
+        bucket = buckets.setdefault((g.order, len(g.edges), degrees), [])
+        for rep, cid in bucket:
+            if find_isomorphism(g, rep) is not None:
+                ids.append(cid)
+                break
+        else:
+            bucket.append((g, next(fresh)))
+            ids.append(bucket[-1][1])
+    return ids
+
+
+def class_representatives(graphs):
+    """The first graph of each isomorphism class, by the reference class ids."""
+    graphs = list(graphs)
+    reps = {}
+    for g, cid in zip(graphs, reference_class_ids(graphs)):
+        reps.setdefault(cid, g)
+    return list(reps.values())
+
+
+def relabel(g, rng):
+    """g with its vertices renamed by a random permutation."""
+    p = list(range(1, g.order + 1))
+    rng.shuffle(p)
+    return graph(g.order, [(p[u - 1], p[v - 1]) for u, v in g.edges])
+
+
+def all_labelled_graphs(order):
+    pairs = list(itertools.combinations(range(1, order + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield graph(order, [e for b, e in enumerate(pairs) if mask >> b & 1])
+
+
+def petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+    return graph(10, outer + spokes + inner)
+
+
+def triangle_and_square():
+    return graph(7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+
+
+def frucht():
+    """The Frucht graph: cubic, with no automorphism but the identity."""
+    lcf = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+    cycle = [(i, i % 12 + 1) for i in range(1, 13)]
+    chords = [(i + 1, (i + d) % 12 + 1) for i, d in enumerate(lcf)]
+    return graph(12, cycle + chords)
+
+
+def regular_graphs():
+    """Regular graphs that colour refinement cannot split at all."""
+    yield from (family("cycle", n) for n in range(3, 11))
+    yield triangle_and_square()
+    yield frucht()
+    yield graph(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])  # K_{3,3}
+    yield petersen()
+    for m in range(1, 6):
+        yield family("mK2", m)
+        yield family("complement_mK2", m)
+    yield family("complete", 8)
+    yield family("empty", 8)
+
+
+class TestCanonicalForm:
+    def check_against_references(self, stream):
+        # Equal certificates exactly for isomorphic graphs, and the orbits
+        # of the pinned-probe reference.
+        stream = list(stream)
+        ids = reference_class_ids(stream)
+        class_of_cert = {}
+        for g, cid in zip(stream, ids):
+            cert, orbits = canonical_form(g)
+            assert orbits == reference_orbits(g), g
+            assert class_of_cert.setdefault(cert, cid) == cid, g
+        assert len(class_of_cert) == len(set(ids))
+
+    def test_every_labelled_graph_to_order_five(self):
+        self.check_against_references(g for n in range(6) for g in all_labelled_graphs(n))
+
+    def test_order_six_classes_under_relabelling(self):
+        # Every graph of order 6 is one of order 5 plus a vertex, so the
+        # extensions of the 34 classes of order 5 meet all 156 of order 6.
+        fives = class_representatives(all_labelled_graphs(5))
+        assert len(fives) == 34
+        sixes = class_representatives(
+            graph(6, list(g.edges) + [(v, 6) for v in range(1, 6) if mask >> (v - 1) & 1])
+            for g in fives
+            for mask in range(32)
+        )
+        assert len(sixes) == 156
+        rng = random.Random(156)
+        self.check_against_references(
+            h for g in sixes for h in [g] + [relabel(g, rng) for _ in range(3)]
+        )
+
+    def test_random_graphs_of_order_seven_to_twelve(self):
+        rng = random.Random(712)
+        stream = []
+        for _ in range(40):
+            n = rng.randint(7, 12)
+            density = rng.choice((0.2, 0.5, 0.8))
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            g = graph(n, [e for e in pairs if rng.random() < density])
+            stream += [g, relabel(g, rng)]
+        self.check_against_references(stream)
+
+    def test_regular_graphs(self):
+        rng = random.Random(10)
+        self.check_against_references(h for g in regular_graphs() for h in (g, relabel(g, rng)))
+        assert canonical_form(petersen())[1] == (0,) * 10
+        # One refinement cell, yet no two vertices in one orbit.
+        assert canonical_form(frucht())[1] == tuple(range(12))
+        assert canonical_form(triangle_and_square())[1] == (0, 0, 0, 3, 3, 3, 3)
+        assert len(set(canonical_form(family("path", 12))[1])) == 6
+
+    def test_empty_and_single_vertex(self):
+        assert canonical_form(graph(0)) == ((), ())
+        assert canonical_form(graph(1)) == ((0,), (0,))
+        assert canonical_form(graph(1))[0] != canonical_form(graph(2))[0]
 
 
 class TestFamilies:

@@ -12,7 +12,6 @@ from gridletters.graphs import (
     find_isomorphism,
     graph,
     induced_subgraph,
-    invariant_key,
 )
 from gridletters.letters import (
     LETTER_SYMBOLS,
@@ -214,7 +213,45 @@ def direct_lettering(g, k):
     return None
 
 
+class ProbingCache(LetteringCache):
+    """The cache keyed without certificates: classes bucketed by order, edge
+    count and sorted degrees, and each bucket member probed with
+    find_isomorphism."""
+
+    def __init__(self):
+        self._buckets = {}
+
+    def _record(self, g):
+        degrees = tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
+        bucket = self._buckets.setdefault((g.order, len(g.edges), degrees), [])
+        for rep, rec in bucket:
+            if find_isomorphism(g, rep) is not None:
+                return rec
+        bucket.append((g, letters._ClassRecord()))
+        return bucket[-1][1]
+
+
 class TestLetteringCache:
+    def test_classes_and_answers_match_the_probing_cache(self):
+        # Both caches run the same searches per class record, so equal
+        # classes give equal answers for any query stream.
+        stream = [
+            inversion_graph(Permutation(values))
+            for n in range(8)
+            for values in itertools.permutations(range(1, n + 1))
+        ]
+        cache, probing = LetteringCache(), ProbingCache()
+        partner, back = {}, {}
+        for g in stream:
+            a, b = id(cache._record(g)), id(probing._record(g))
+            assert partner.setdefault(a, b) == b and back.setdefault(b, a) == a, g
+        assert len(partner) == 970  # classes of inversion graphs of order 0 to 7
+        for g in stream:
+            if g.order <= 6:
+                for k in (2, 3):
+                    assert cache.find_lettering(g, k) == probing.find_lettering(g, k), (g, k)
+                assert cache.lettericity(g) == probing.lettericity(g), g
+
     def test_shared_cache_matches_direct_search_and_oracle(self):
         # One cache over the whole stream: the k = 1, 3, 2 queries make
         # misses, exhausted sizes, resumed searches and hits on isomorphic
@@ -228,7 +265,8 @@ class TestLetteringCache:
         oracle_reps = {}  # lettericity_oracle once per isomorphism class
 
         def oracle(g):
-            reps = oracle_reps.setdefault(invariant_key(g), [])
+            degrees = tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
+            reps = oracle_reps.setdefault((g.order, len(g.edges), degrees), [])
             for rep, value in reps:
                 if find_isomorphism(g, rep) is not None:
                     return value
