@@ -47,9 +47,12 @@ def cmd_lettericity(args) -> int:
         g = parse_graph(Path(args.graph).read_text())
     except (OSError, ValueError) as exc:
         raise InputError(f"bad graph file {args.graph}: {exc}") from exc
-    lz = letters.find_lettering(g, g.order if g.order else 1)
+    # The size is printed before the witness walk, which can take far longer.
+    cache = letters.LetteringCache()
+    size = cache.lettericity(g)
+    print(size, flush=True)
+    lz = cache.find_lettering(g, max(size, 1))
     assert lz is not None
-    print(len(lz.alphabet))
     print("decoder:")
     sys.stdout.write(letters.format_decoder(lz.decoder) if lz.decoder else "(empty)\n")
     print("word:", letters.format_word(lz.word))

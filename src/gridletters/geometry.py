@@ -145,9 +145,6 @@ class Realization:
         bx, _ = base_point((k, l), self.signs)
         return abs(self.points[i - 1][0] - bx)
 
-    def distance(self, i: int) -> float:
-        return float(self.offset(i)) * 2 ** 0.5
-
 
 def _point_on_cell(
     cell: Cell, sign: int, signs: SignedMatrix, p: Union[int, Fraction], d: int = 1

@@ -36,9 +36,6 @@ class SimpleGraph:
     def degree(self, u: int) -> int:
         return sum(1 for e in self.edges if u in e)
 
-    def neighbors(self, u: int) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e if u in e and v != u)
-
     def __str__(self) -> str:
         return format_graph(self)
 
@@ -348,29 +345,34 @@ def contains_induced(g: SimpleGraph, h: SimpleGraph) -> bool:
     """True iff some vertex subset of g induces a graph isomorphic to h."""
     if h.order > g.order:
         return False
-    for vs in itertools.combinations(range(1, g.order + 1), h.order):
-        if find_isomorphism(induced_subgraph(g, vs), h) is not None:
+    adj = adjacency_masks(g)
+    for vs in itertools.combinations(range(g.order), h.order):
+        # Only a subset with h's edge count can induce a copy of h.
+        s = 0
+        for v in vs:
+            s |= 1 << v
+        twice_edges = 0
+        for v in vs:
+            twice_edges += (adj[v] & s).bit_count()
+        if twice_edges != 2 * len(h.edges):
+            continue
+        if find_isomorphism(induced_subgraph(g, [v + 1 for v in vs]), h) is not None:
             return True
     return False
 
 
-_THRESHOLD_FORBIDDEN = ("mK2:2", "cycle:4", "path:4")
-_SPLIT_FORBIDDEN = ("mK2:2", "cycle:4", "cycle:5")
-
-
-def _forbidden(spec: str) -> SimpleGraph:
-    kind, size = spec.split(":")
-    return family(kind, int(size))
+_THRESHOLD_FORBIDDEN = (family("mK2", 2), family("cycle", 4), family("path", 4))
+_SPLIT_FORBIDDEN = (family("mK2", 2), family("cycle", 4), family("cycle", 5))
 
 
 def is_threshold(g: SimpleGraph) -> bool:
     """No induced 2K2, C4, or P4."""
-    return not any(contains_induced(g, _forbidden(s)) for s in _THRESHOLD_FORBIDDEN)
+    return not any(contains_induced(g, h) for h in _THRESHOLD_FORBIDDEN)
 
 
 def is_split(g: SimpleGraph) -> bool:
     """No induced 2K2, C4, or C5."""
-    return not any(contains_induced(g, _forbidden(s)) for s in _SPLIT_FORBIDDEN)
+    return not any(contains_induced(g, h) for h in _SPLIT_FORBIDDEN)
 
 
 def distinguished(g: SimpleGraph, u: int, v: int) -> bool:

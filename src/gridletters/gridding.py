@@ -154,12 +154,6 @@ class GriddedPermutation:
             sorted(self.perm.position_of(v) for v in range(lo, hi))
         )
 
-    def entries_in_cell(self, k: int, l: int) -> tuple[int, ...]:
-        lo, hi = self.row_divs[l - 1], self.row_divs[l]
-        return tuple(
-            i for i in self.entries_in_column(k) if lo <= self.perm.at(i) < hi
-        )
-
 
 def _cells_ok(
     pi: Permutation,

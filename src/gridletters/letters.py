@@ -131,9 +131,7 @@ def _twin_classes(g: SimpleGraph) -> tuple[int, ...]:
     for u in range(n):
         for v in range(u + 1, n):
             strip = ~((1 << u) | (1 << v))
-            same_outside = (adj[u] & strip) == (adj[v] & strip)
-            same_mutual = ((adj[u] >> v) & 1) == ((adj[v] >> u) & 1)
-            if same_outside and same_mutual:
+            if (adj[u] & strip) == (adj[v] & strip):
                 ids[v] = min(ids[v], ids[u])
     return tuple(ids)
 

@@ -1,5 +1,12 @@
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gridletters
 from gridletters import pipeline, render
 from gridletters.cli import main
 from gridletters.graphs import family, format_graph
@@ -47,6 +54,27 @@ class TestLettericity:
         path.write_text("not a graph\n")
         assert main(["lettericity", str(path)]) == 2
         assert capsys.readouterr().err
+
+    def test_size_printed_before_the_witness_walk(self, tmp_path):
+        # The 5-letter witness walk on 5K2 runs far longer than the deadline;
+        # the decided size must reach stdout first.
+        path = tmp_path / "5k2.graph"
+        path.write_text(format_graph(family("mK2", 5)))
+        env = dict(os.environ, PYTHONPATH=str(Path(gridletters.__file__).parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gridletters", "lettericity", str(path)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 20)
+            assert ready, "no output within 20 s"
+            assert proc.stdout.readline() == "5\n"
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestInvgraph:

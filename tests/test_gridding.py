@@ -162,7 +162,6 @@ class TestGriddedPermutation:
         assert gp.cell_of(7) == (3, 1)
         assert gp.entries_in_column(3) == (5, 6, 7)
         assert gp.entries_in_row(1) == (3, 5, 7)
-        assert gp.entries_in_cell(3, 2) == (6,)
 
     def test_invalid_cells_rejected(self, one_cell):
         with pytest.raises(ValueError):

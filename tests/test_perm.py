@@ -6,17 +6,12 @@ from hypothesis import strategies as st
 
 from gridletters import graphs
 from gridletters.perm import (
-    MonotoneInterval,
     Permutation,
     contains,
-    contract,
-    contract_once,
     find_embedding,
     format_permutation,
     identity,
-    inflate,
     inversion_graph,
-    monotone_intervals,
     parse_permutation,
     separated,
     separators,
@@ -134,104 +129,6 @@ class TestInversionGraph:
                         if witness is not None:
                             sub = graphs.induced_subgraph(inversion_graph(pi), witness)
                             assert graphs.find_isomorphism(sub, inversion_graph(sigma))
-
-
-class TestMonotoneIntervals:
-    def naive(self, pi):
-        # Independent scan: all maximal runs over every start/length pair.
-        found = []
-        n = len(pi)
-        for start in range(1, n + 1):
-            for length in range(2, n - start + 2):
-                vals = pi.values[start - 1 : start + length - 1]
-                deltas = {b - a for a, b in zip(vals, vals[1:])}
-                if deltas == {1} or deltas == {-1}:
-                    direction = deltas.pop()
-                    maximal = True
-                    if start > 1 and pi.at(start - 1) == vals[0] - direction:
-                        maximal = False
-                    if start + length <= n and pi.at(start + length) == vals[-1] + direction:
-                        maximal = False
-                    if maximal:
-                        found.append(MonotoneInterval(start, length, direction))
-        return tuple(sorted(found, key=lambda iv: iv.start))
-
-    def test_examples(self):
-        assert monotone_intervals(P("3142")) == ()
-        for n in range(2, 6):
-            (iv,) = monotone_intervals(identity(n))
-            assert (iv.start, iv.length, iv.direction) == (1, n, 1)
-        (iv,) = monotone_intervals(P("524361"))
-        assert (iv.start, iv.length, iv.direction) == (3, 2, -1)
-
-    def test_matches_naive_scan(self):
-        for n in range(7):
-            for pi in perms_of(n):
-                assert monotone_intervals(pi) == self.naive(pi)
-
-    def test_trivial_intervals_not_materialized(self):
-        with pytest.raises(ValueError):
-            MonotoneInterval(1, 1, 1)
-
-
-class TestContract:
-    def test_single_pass_example(self):
-        sigma, ranges = contract_once(P("524361"))
-        assert sigma == P("42351")
-        assert ranges[2] == (3, 4)
-
-    def test_identity_contracts_to_point(self):
-        for n in range(1, 6):
-            sigma, ranges = contract(identity(n))
-            assert sigma == P("1")
-            assert ranges == ((1, n),)
-
-    def test_524361_fully_contracts(self):
-        # One pass gives 42351, which still has the interval (2, 3); the
-        # fixed point collapses everything.
-        sigma, ranges = contract(P("524361"))
-        assert sigma == P("1")
-        assert ranges == ((1, 6),)
-
-    def test_no_intervals_is_fixed(self):
-        sigma, ranges = contract(P("3142"))
-        assert sigma == P("3142")
-        assert ranges == ((1, 1), (2, 2), (3, 3), (4, 4))
-
-    def test_output_has_no_intervals_and_idempotent(self):
-        for n in range(7):
-            for pi in perms_of(n):
-                sigma, ranges = contract(pi)
-                assert monotone_intervals(sigma) == ()
-                assert contract(sigma)[0] == sigma
-                assert [b - a + 1 for a, b in ranges] != [] or n == 0
-                assert sum(b - a + 1 for a, b in ranges) == n
-
-    def test_nested_contraction(self):
-        assert contract(P("321"))[0] == P("1")
-        assert contract(P("2134"))[0] == P("1")
-
-
-class TestInflate:
-    def test_examples(self):
-        assert inflate(P("1"), [(3, 1)]) == P("123")
-        assert inflate(P("21"), [(2, -1), (2, -1)]) == P("4321")
-        assert contract(P("4321"))[0] == P("1")
-        assignment = [(1, 1), (1, 1), (2, -1), (1, 1), (1, 1)]
-        assert inflate(P("42351"), assignment) == P("524361")
-
-    def test_rejects_zero_length(self):
-        with pytest.raises(ValueError):
-            inflate(P("1"), [(0, 1)])
-
-    @given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([1, -1])), min_size=4, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_contract_inverts_inflate_without_merges(self, assignment):
-        # 3142 has no adjacent entries with adjacent values, so no two
-        # inflated blocks can merge.
-        sigma = P("3142")
-        pi = inflate(sigma, assignment)
-        assert contract(pi)[0] == sigma
 
 
 class TestSeparation:

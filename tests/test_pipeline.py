@@ -24,7 +24,10 @@ from gridletters.pipeline import (
     LetteringNotFoundError,
     NotGriddableError,
     PipelineError,
+    ReadingOrderConflictError,
+    ReadingOrders,
     _inflate_points,
+    assign_signs,
     _universal_ok,
     class_experiment,
     contract_gridded,
@@ -160,6 +163,32 @@ class TestRegrid:
             out = regrid(gp, reletter(lz, gp))
             assert all(out.entries_in_column(k) for k in range(1, out.matrix.cols + 1))
             assert all(out.entries_in_row(l) for l in range(1, out.matrix.rows + 1))
+
+
+class TestStageFailures:
+    def test_lettering_refined_against_another_gridding(self, x_matrix):
+        pi = P("21")
+        first, *_, last = iter_griddings(pi, x_matrix)
+        assert first.cell_of(1) != last.cell_of(1)
+        rlz = reletter(find_lettering(inversion_graph(pi), 2), first)
+        with pytest.raises(PipelineError, match="used outside its cell"):
+            reading_orders(rlz, last)
+        with pytest.raises(PipelineError, match="used outside its cell"):
+            regrid(last, rlz)
+
+    def test_opposite_horizontal_orders_in_one_column(self, one_cell):
+        gp = GriddedPermutation(P("12"), one_cell, (1, 3), (1, 3))
+        rlz = reletter(Letterization(("a", "b"), frozenset(), ("a", "b"), (1, 2)), gp)
+        a, b = rlz.alphabet
+        ro = ReadingOrders(((a, 1, 1), (b, -1, -1)))
+        with pytest.raises(ReadingOrderConflictError, match="horizontal"):
+            assign_signs(gp, rlz, ro)
+
+    def test_empty_column(self):
+        gp = GriddedPermutation(P("1"), grid_matrix([[1], [1]]), (1, 1, 2), (1, 2))
+        rlz = reletter(find_lettering(inversion_graph(gp.perm), 1), gp)
+        with pytest.raises(PipelineError, match="column 1 of the regridded permutation is empty"):
+            assign_signs(gp, rlz, reading_orders(rlz, gp))
 
 
 class TestContractGridded:
