@@ -239,22 +239,6 @@ class CellWord:
                 raise ValueError(f"letter names the empty cell ({k}, {l})")
 
 
-def parse_cell_word(text: str, m: GridMatrix) -> CellWord:
-    """Whitespace-separated "k.l" tokens naming cells."""
-    letters = []
-    for tok in text.split():
-        try:
-            k, l = tok.split(".")
-            letters.append((int(k), int(l)))
-        except ValueError:
-            raise ValueError(f"bad cell token {tok!r}") from None
-    return CellWord(m, tuple(letters))
-
-
-def format_cell_word(w: CellWord) -> str:
-    return " ".join(f"{k}.{l}" for k, l in w.letters)
-
-
 def _word_points(w: CellWord, signs: SignedMatrix) -> tuple[Point, ...]:
     n = len(w.letters)
     pts = []

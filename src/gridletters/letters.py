@@ -9,7 +9,9 @@ letter x sees each earlier letter-y class whole or not at all, as the
 decoder pair (y, x) says.  `_has_lettering` decides whether at most k
 letters suffice, fixing each pair when a placement first tests it; only at
 the least such size does `_search_word` walk the canonical decoders, so its
-first success is the least (decoder, word) witness.
+first success is the least (decoder, word) witness.  Both searches keep
+vertex sets as integer masks: per letter, the vertices that may take it
+next, so a search node costs a few mask operations, not a vertex loop.
 
 `LetteringCache` keeps, per isomorphism class (one canonical certificate),
 the sizes known to fail, the decided size and the witness decoder; a later
@@ -22,6 +24,7 @@ import collections
 import dataclasses
 import functools
 import itertools
+import operator
 from typing import Iterable, Optional, Sequence
 
 from . import graphs
@@ -99,12 +102,21 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     only at the decided lettericity.
     """
     # Pair (i, j) is bit i*k + j, so sorted pairs compare as ascending bit
-    # indices.  Each orbit is walked once; its members have equal bit counts,
-    # so the least holds the lowest bit in which it differs from each other.
-    images = [
-        [1 << (sig[b // k] * k + sig[b % k]) for b in range(k * k)]
-        for sig in itertools.permutations(range(k))
-    ]
+    # indices.  A renaming maps a mask one byte at a time, through a table of
+    # the images of the 256 values of that byte.  Each orbit is walked once;
+    # its members have equal bit counts, so the least holds the lowest bit in
+    # which it differs from each other.
+    renamings = []
+    for sig in itertools.permutations(range(k)):
+        images = [1 << (sig[b // k] * k + sig[b % k]) for b in range(k * k)]
+        by_byte = []
+        for shift in range(0, k * k, 8):
+            table = [0] * min(256, 1 << (k * k - shift))
+            for c in range(1, len(table)):
+                low = c & -c
+                table[c] = table[c ^ low] | images[shift + low.bit_length() - 1]
+            by_byte.append((shift, table))
+        renamings.append(by_byte)
     pairs = [(b // k, b % k) for b in range(k * k)]
     seen = bytearray(1 << (k * k))
     reps = []
@@ -112,8 +124,10 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
         if seen[mask]:
             continue
         best = mask
-        for image in images:
-            mapped = sum(bit for b, bit in enumerate(image) if mask >> b & 1)
+        for by_byte in renamings:
+            mapped = 0
+            for shift, table in by_byte:
+                mapped |= table[mask >> shift & 255]
             seen[mapped] = 1
             diff = mapped ^ best
             if diff & -diff & mapped:
@@ -123,8 +137,10 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     return tuple(reps)
 
 
-def _twin_classes(g: SimpleGraph) -> tuple[int, ...]:
-    """Class id per vertex; twins (true or false) are interchangeable."""
+def _prune_masks(g: SimpleGraph) -> tuple[list[int], int]:
+    """Per vertex, the mask of its twin class (twins, true or false, are
+    interchangeable); and the mask of the least vertex of each automorphism
+    orbit, the only ones a first placement needs to try."""
     n = g.order
     adj = graphs.adjacency_masks(g)
     ids = list(range(n))
@@ -133,7 +149,9 @@ def _twin_classes(g: SimpleGraph) -> tuple[int, ...]:
             strip = ~((1 << u) | (1 << v))
             if (adj[u] & strip) == (adj[v] & strip):
                 ids[v] = min(ids[v], ids[u])
-    return tuple(ids)
+    orbit = graphs.vertex_orbits(g)
+    same = [sum(1 << u for u in range(n) if ids[u] == i) for i in ids]
+    return same, sum(1 << v for v in range(n) if orbit[v] == v)
 
 
 def _search_word(
@@ -141,73 +159,80 @@ def _search_word(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Least word over letters 0..k-1 whose letter graph is isomorphic to g,
     together with iso[v-1] = position of vertex v.  At k = lett(g), the one
-    size the witness search asks, every such word uses all k letters."""
+    size the witness search asks, every such word uses all k letters.
+
+    required[x] masks the placed vertices that a vertex placed next with
+    letter x must see, and fit[x] the vertices whose placed neighbours are
+    exactly required[x].  Placing u with letter y keeps in fit[x] the
+    neighbours of u if (y, x) is in the decoder and the non-neighbours
+    otherwise, so the moves of letter x are the free bits of fit[x]."""
     n = g.order
     adj = graphs.adjacency_masks(g)
-    twin = _twin_classes(g)
-    orbit = graphs.vertex_orbits(g)
-    feeds = [[x for x in range(k) if (y, x) in decoder] for y in range(k)]
-
-    word: list[int] = []
-    placement: list[int] = []
+    same, first = _prune_masks(g)
+    everyone = (1 << n) - 1
+    # Placing v with letter y ORs grow[y][v] into required and ANDs
+    # cut[y][v] into fit, letter by letter.
+    ins = [[(y, x) in decoder for x in range(k)] for y in range(k)]
+    grow = [[tuple(1 << v if d else 0 for d in row) for v in range(n)] for row in ins]
+    cut = [[tuple(adj[v] if d else ~adj[v] for d in row) for v in range(n)] for row in ins]
+    path: list[tuple[int, int]] = []  # (letter, vertex) per position
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def extend(placed: int, required: tuple[int, ...], p: int) -> bool:
-        if p == n:
+    def extend(placed: int, required: tuple[int, ...], fit: tuple[int, ...]) -> bool:
+        free = everyone ^ placed
+        if not free:
             return True
         key = (placed, required)
         if key in failed:
             return False
         # An unplaced vertex that fits no letter now fits none later.
-        needs = set(required)
-        if any(adj[v] & placed not in needs for v in range(n) if not placed >> v & 1):
+        if free & ~functools.reduce(operator.or_, fit, 0):
             return False
         for x in range(k):
-            need = required[x]
-            tried_twins = set()
-            for v in range(n):
-                if placed >> v & 1:
-                    continue
-                if p == 0 and orbit[v] != v:
-                    continue
-                if twin[v] in tried_twins:
-                    continue
-                tried_twins.add(twin[v])
-                if adj[v] & placed != need:
-                    continue
-                new_required = list(required)
-                for x2 in feeds[x]:
-                    new_required[x2] |= 1 << v
-                word.append(x)
-                placement.append(v)
-                if extend(placed | 1 << v, tuple(new_required), p + 1):
+            # One vertex per orbit first, one per twin class and letter.
+            moves = fit[x] & free if placed else fit[x] & first
+            while moves:
+                v = (moves & -moves).bit_length() - 1
+                moves &= ~same[v]
+                path.append((x, v))
+                if extend(
+                    placed | 1 << v,
+                    tuple(map(operator.or_, required, grow[x][v])),
+                    tuple(map(operator.and_, fit, cut[x][v])),
+                ):
                     return True
-                word.pop()
-                placement.pop()
+                path.pop()
         failed.add(key)
         return False
 
-    if not extend(0, (0,) * k, 0):
+    if not extend(0, (0,) * k, (everyone,) * k):
         return None
     iso = [0] * n
-    for pos, v in enumerate(placement):
-        iso[v] = pos + 1
-    return tuple(word), tuple(iso)
+    for pos, (_, v) in enumerate(path, start=1):
+        iso[v] = pos
+    return tuple(x for x, _ in path), tuple(iso)
 
 
 def _has_lettering(g: SimpleGraph, k: int) -> bool:
     """Whether g has a lettering over at most k letters, with no decoder
     fixed up front: letters enter in order of first occurrence, and the first
     placement that tests a pair (y, x) fixes it.  Classes only grow and pairs
-    only get fixed, so a vertex that fits no letter now fits none later."""
+    only get fixed, so a vertex that fits no letter now fits none later.
+
+    full[y] and none[y] mask the vertices adjacent to all and to none of the
+    letter-y class (every vertex, while the class is empty).  A vertex can
+    take letter x when, for every class y, it lies in full[y] if (y, x) is
+    fixed in the decoder, in none[y] if fixed out, and in either if open;
+    its bit of full[y] then fixes an open pair."""
     n = g.order
     adj = graphs.adjacency_masks(g)
-    twin = _twin_classes(g)
-    orbit = graphs.vertex_orbits(g)
+    same, first = _prune_masks(g)
     everyone = (1 << n) - 1
+    non = [everyone ^ a for a in adj]
+    pair = [[1 << (y * k + x) for x in range(k)] for y in range(k)]
     failed: set[tuple[tuple[int, ...], int, int]] = set()
 
-    def extend(placed: int, classes: tuple[int, ...], fixed: int, inside: int) -> bool:
+    def extend(placed, classes, full, none, fixed, inside) -> bool:
         # classes[y] holds the vertices placed with letter y; bit y * k + x of
         # `fixed` marks the pair (y, x) fixed, and of `inside`, in the decoder.
         if placed == everyone:
@@ -216,39 +241,48 @@ def _has_lettering(g: SimpleGraph, k: int) -> bool:
         if key in failed:
             return False
         used = len(classes)
-        moves = []
+        free = everyone ^ placed
+        cans = []
         fits = placed
         for x in range(min(used + 1, k)):
-            for v in range(n):
-                if placed >> v & 1:
-                    continue
-                f, i = fixed, inside
-                for y, cls in enumerate(classes):
-                    seen = adj[v] & cls
-                    if seen and seen != cls:
-                        break
-                    bit = 1 << (y * k + x)
-                    want = bit if seen else 0
-                    if f & bit and (i & bit) != want:
-                        break
-                    f |= bit
-                    i |= want
+            can = free
+            for y in range(used):
+                bit = pair[y][x]
+                if not fixed & bit:
+                    can &= full[y] | none[y]
                 else:
-                    fits |= 1 << v
-                    moves.append((x, v, f, i))
+                    can &= full[y] if inside & bit else none[y]
+            fits |= can
+            cans.append(can)
         if fits == everyone:
-            tried_twins = set()
-            for x, v, f, i in moves:
-                if (not placed and orbit[v] != v) or (x, twin[v]) in tried_twins:
-                    continue
-                tried_twins.add((x, twin[v]))
-                cls = classes[x] | 1 << v if x < used else 1 << v
-                if extend(placed | 1 << v, classes[:x] + (cls,) + classes[x + 1 :], f, i):
-                    return True
+            for x, can in enumerate(cans):
+                # One vertex per orbit first, one per twin class and letter.
+                if not placed:
+                    can &= first
+                opened = [(full[y], pair[y][x]) for y in range(used) if not fixed & pair[y][x]]
+                tested = fixed | sum(bit for _, bit in opened)
+                while can:
+                    low = can & -can
+                    v = low.bit_length() - 1
+                    can &= ~same[v]
+                    i = inside
+                    for full_y, bit in opened:
+                        if full_y & low:
+                            i |= bit
+                    cls = classes[x] | low if x < used else low
+                    if extend(
+                        placed | low,
+                        classes[:x] + (cls,) + classes[x + 1 :],
+                        full[:x] + (full[x] & adj[v],) + full[x + 1 :],
+                        none[:x] + (none[x] & non[v],) + none[x + 1 :],
+                        tested,
+                        i,
+                    ):
+                        return True
         failed.add(key)
         return False
 
-    return extend(0, (), 0, 0)
+    return extend(0, (), (everyone,) * k, (everyone,) * k, 0, 0)
 
 
 @dataclasses.dataclass
@@ -363,26 +397,8 @@ def verify_letterization(g: SimpleGraph, lz: Letterization) -> bool:
     return True
 
 
-def parse_decoder(text: str) -> frozenset[tuple[str, str]]:
-    """One "a b" ordered pair per line."""
-    pairs = set()
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad decoder line {ln!r}")
-        pairs.add((parts[0], parts[1]))
-    return frozenset(pairs)
-
-
 def format_decoder(decoder: Iterable[tuple[str, str]]) -> str:
     return "\n".join(f"{a} {b}" for a, b in sorted(decoder)) + "\n"
-
-
-def parse_word(text: str) -> tuple[str, ...]:
-    return tuple(text.split())
 
 
 def format_word(word: Sequence[str]) -> str:

@@ -16,11 +16,9 @@ from gridletters.geometry import (
     derive_decoder,
     embed_in_universal,
     encode_gridded,
-    format_cell_word,
     geom_member,
     geom_witness,
     local_orders,
-    parse_cell_word,
     read_points,
     realize,
     standard_figure,
@@ -221,10 +219,6 @@ class TestDecodeWord:
     def test_rejects_zero_cell_letter(self, fan_matrix):
         with pytest.raises(ValueError):
             CellWord(fan_matrix, ((1, 1),))
-
-    def test_word_text_round_trip(self, fan_matrix):
-        w = CellWord(fan_matrix, FIG_WORD)
-        assert parse_cell_word(format_cell_word(w), fan_matrix) == w
 
 
 class TestEncodeGridded:

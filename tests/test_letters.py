@@ -7,26 +7,25 @@ from hypothesis import strategies as st
 
 from gridletters import letters, oracle
 from gridletters.graphs import (
+    adjacency_masks,
     complement,
     family,
     find_isomorphism,
     graph,
     induced_subgraph,
+    vertex_orbits,
 )
 from gridletters.letters import (
     LETTER_SYMBOLS,
     LetteringCache,
     Letterization,
+    _has_lettering,
     _search_word,
     canonical_decoders,
     complement_decoder,
     decode_letter_graph,
     find_lettering,
-    format_decoder,
-    format_word,
     lettericity,
-    parse_decoder,
-    parse_word,
     verify_letterization,
 )
 from gridletters.oracle import lettericity_oracle
@@ -344,15 +343,187 @@ class TestCanonicalDecoders:
         assert len(canonical_decoders(4)) == 3044
 
 
-class TestTextFormats:
-    def test_decoder_round_trip(self):
-        d = frozenset({("a", "b"), ("b", "b")})
-        assert parse_decoder(format_decoder(d)) == d
+def reference_twin_classes(g):
+    """Class id per vertex; twins (true or false) are interchangeable."""
+    n = g.order
+    adj = adjacency_masks(g)
+    ids = list(range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            strip = ~((1 << u) | (1 << v))
+            if (adj[u] & strip) == (adj[v] & strip):
+                ids[v] = min(ids[v], ids[u])
+    return tuple(ids)
 
-    def test_word_round_trip(self):
-        w = ("a", "b", "a")
-        assert parse_word(format_word(w)) == w
 
-    def test_bad_decoder_line(self):
-        with pytest.raises(ValueError):
-            parse_decoder("a b c")
+def reference_search_word(g, k, decoder):
+    """The word search vertex by vertex: each move compares a vertex's
+    placed neighbours with the letter's required set."""
+    n = g.order
+    adj = adjacency_masks(g)
+    twin = reference_twin_classes(g)
+    orbit = vertex_orbits(g)
+    feeds = [[x for x in range(k) if (y, x) in decoder] for y in range(k)]
+
+    word = []
+    placement = []
+    failed = set()
+
+    def extend(placed, required, p):
+        if p == n:
+            return True
+        key = (placed, required)
+        if key in failed:
+            return False
+        needs = set(required)
+        if any(adj[v] & placed not in needs for v in range(n) if not placed >> v & 1):
+            return False
+        for x in range(k):
+            need = required[x]
+            tried_twins = set()
+            for v in range(n):
+                if placed >> v & 1:
+                    continue
+                if p == 0 and orbit[v] != v:
+                    continue
+                if twin[v] in tried_twins:
+                    continue
+                tried_twins.add(twin[v])
+                if adj[v] & placed != need:
+                    continue
+                new_required = list(required)
+                for x2 in feeds[x]:
+                    new_required[x2] |= 1 << v
+                word.append(x)
+                placement.append(v)
+                if extend(placed | 1 << v, tuple(new_required), p + 1):
+                    return True
+                word.pop()
+                placement.pop()
+        failed.add(key)
+        return False
+
+    if not extend(0, (0,) * k, 0):
+        return None
+    iso = [0] * n
+    for pos, v in enumerate(placement):
+        iso[v] = pos + 1
+    return tuple(word), tuple(iso)
+
+
+def reference_has_lettering(g, k):
+    """The lazy-decoder search vertex by vertex: each move walks the
+    classes and checks the vertex sees each one whole or not at all."""
+    n = g.order
+    adj = adjacency_masks(g)
+    twin = reference_twin_classes(g)
+    orbit = vertex_orbits(g)
+    everyone = (1 << n) - 1
+    failed = set()
+
+    def extend(placed, classes, fixed, inside):
+        if placed == everyone:
+            return True
+        key = (classes, fixed, inside)
+        if key in failed:
+            return False
+        used = len(classes)
+        moves = []
+        fits = placed
+        for x in range(min(used + 1, k)):
+            for v in range(n):
+                if placed >> v & 1:
+                    continue
+                f, i = fixed, inside
+                for y, cls in enumerate(classes):
+                    seen = adj[v] & cls
+                    if seen and seen != cls:
+                        break
+                    bit = 1 << (y * k + x)
+                    want = bit if seen else 0
+                    if f & bit and (i & bit) != want:
+                        break
+                    f |= bit
+                    i |= want
+                else:
+                    fits |= 1 << v
+                    moves.append((x, v, f, i))
+        if fits == everyone:
+            tried_twins = set()
+            for x, v, f, i in moves:
+                if (not placed and orbit[v] != v) or (x, twin[v]) in tried_twins:
+                    continue
+                tried_twins.add((x, twin[v]))
+                cls = classes[x] | 1 << v if x < used else 1 << v
+                if extend(placed | 1 << v, classes[:x] + (cls,) + classes[x + 1 :], f, i):
+                    return True
+        failed.add(key)
+        return False
+
+    return extend(0, (), 0, 0)
+
+
+def ladder_scale_graphs():
+    """The stream of test_ladder_scale_graphs_match_direct_search: fixed
+    random graphs of order 7-8 and inversion graphs of length-8 permutations."""
+    rng = random.Random(2021)
+    stream = []
+    for n in (7, 8) * 8:
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        stream.append(graph(n, [p for p in pairs if rng.random() < 0.5]))
+    for _ in range(8):
+        values = sorted(range(1, 9), key=lambda v: rng.random())
+        stream.append(inversion_graph(Permutation(tuple(values))))
+    return stream
+
+
+class TestMaskKernelsMatchReferences:
+    def test_has_lettering_on_small_graphs(self):
+        for n in range(6):
+            for g in small_graphs(n):
+                for k in range(n + 1):
+                    assert _has_lettering(g, k) == reference_has_lettering(g, k), (g, k)
+
+    def test_has_lettering_on_random_graphs(self):
+        # Orders 6-9 in turn, each graph with its own edge density.
+        rng = random.Random(14)
+        answers = []
+        for i in range(200):
+            n = 6 + i % 4
+            density = rng.random()
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            g = graph(n, [p for p in pairs if rng.random() < density])
+            for k in range(1, 5):
+                answers.append(_has_lettering(g, k))
+                assert answers[-1] == reference_has_lettering(g, k), (g, k)
+        assert True in answers and False in answers
+
+    def test_search_word_on_small_graphs(self):
+        for n, k_max in ((0, 3), (1, 3), (2, 3), (3, 3), (4, 3), (5, 2)):
+            for g in small_graphs(n):
+                for k in range(k_max + 1):
+                    for decoder in canonical_decoders(k):
+                        expected = reference_search_word(g, k, decoder)
+                        assert _search_word(g, k, decoder) == expected, (g, k, decoder)
+
+    def test_search_word_along_the_decoder_walk(self):
+        # Sizes ascending and decoders in order, up to the first success.
+        for g in ladder_scale_graphs():
+            for k, decoder in ((k, d) for k in range(1, 4) for d in canonical_decoders(k)):
+                found = _search_word(g, k, decoder)
+                assert found == reference_search_word(g, k, decoder), (g, k, decoder)
+                if found is not None:
+                    break
+
+
+class TestClosedFormAnchors:
+    def test_paths_of_ten_and_eleven_vertices(self):
+        # Ferguson, "On the lettericity of paths": lett(P_n) = floor((n + 4) / 3).
+        assert lettericity(family("path", 10)) == 4
+        assert lettericity(family("path", 11)) == 5
+
+    def test_complements_have_equal_lettericity(self):
+        # Complementing the decoder complements every letter graph.
+        stream = [g for n in range(6) for g in small_graphs(n)] + ladder_scale_graphs()
+        for g in stream:
+            assert lettericity(g) == lettericity(complement(g)), g
