@@ -8,10 +8,15 @@ i < j positions are adjacent in the decoded graph exactly when
 letter x sees each earlier letter-y class whole or not at all, as the
 decoder pair (y, x) says.  `_has_lettering` decides whether at most k
 letters suffice, fixing each pair when a placement first tests it; only at
-the least such size does `_search_word` walk the canonical decoders, so its
-first success is the least (decoder, word) witness.  Both searches keep
-vertex sets as integer masks: per letter, the vertices that may take it
-next, so a search node costs a few mask operations, not a vertex loop.
+the least such size does `_search_word` walk the canonical decoders, so the
+first decoder with a word is the least witness decoder.  Its word is the
+first success of the search in (letter ascending, vertex ascending) order,
+which depends on the vertex labels and need not be the least word.
+
+Both searches keep vertex sets as integer masks: per letter, the vertices
+that may take it next.  These masks only narrow, so a child computes its
+own from its parent's with one AND per letter, and the parent drops a child
+that leaves an unplaced vertex fitting no letter before calling it.
 
 `LetteringCache` keeps, per isomorphism class (one canonical certificate),
 the sizes known to fail, the decided size and the witness decoder; a later
@@ -137,7 +142,8 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     return tuple(reps)
 
 
-def _prune_masks(g: SimpleGraph) -> tuple[list[int], int]:
+@functools.lru_cache(maxsize=1024)
+def _prune_masks(g: SimpleGraph) -> tuple[tuple[int, ...], int]:
     """Per vertex, the mask of its twin class (twins, true or false, are
     interchangeable); and the mask of the least vertex of each automorphism
     orbit, the only ones a first placement needs to try."""
@@ -150,22 +156,26 @@ def _prune_masks(g: SimpleGraph) -> tuple[list[int], int]:
             if (adj[u] & strip) == (adj[v] & strip):
                 ids[v] = min(ids[v], ids[u])
     orbit = graphs.vertex_orbits(g)
-    same = [sum(1 << u for u in range(n) if ids[u] == i) for i in ids]
+    same = tuple(sum(1 << u for u in range(n) if ids[u] == i) for i in ids)
     return same, sum(1 << v for v in range(n) if orbit[v] == v)
 
 
 def _search_word(
     g: SimpleGraph, k: int, decoder: frozenset[tuple[int, int]]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Least word over letters 0..k-1 whose letter graph is isomorphic to g,
-    together with iso[v-1] = position of vertex v.  At k = lett(g), the one
-    size the witness search asks, every such word uses all k letters.
+    """A word over letters 0..k-1 whose letter graph is isomorphic to g,
+    together with iso[v-1] = position of vertex v: the first success of the
+    search in (letter ascending, vertex ascending) order, which depends on
+    the vertex labels.  At k = lett(g), the one size the witness search asks,
+    every such word uses all k letters.
 
     required[x] masks the placed vertices that a vertex placed next with
     letter x must see, and fit[x] the vertices whose placed neighbours are
     exactly required[x].  Placing u with letter y keeps in fit[x] the
     neighbours of u if (y, x) is in the decoder and the non-neighbours
-    otherwise, so the moves of letter x are the free bits of fit[x]."""
+    otherwise, so the moves of letter x are the free bits of fit[x].  A
+    child whose fit leaves an unplaced vertex fitting no letter is dropped
+    before the call: it builds no memo key and is never stored."""
     n = g.order
     adj = graphs.adjacency_masks(g)
     same, first = _prune_masks(g)
@@ -173,6 +183,7 @@ def _search_word(
     # Placing v with letter y ORs grow[y][v] into required and ANDs
     # cut[y][v] into fit, letter by letter.
     ins = [[(y, x) in decoder for x in range(k)] for y in range(k)]
+    outs = [[not d for d in row] for row in ins]
     grow = [[tuple(1 << v if d else 0 for d in row) for v in range(n)] for row in ins]
     cut = [[tuple(adj[v] if d else ~adj[v] for d in row) for v in range(n)] for row in ins]
     path: list[tuple[int, int]] = []  # (letter, vertex) per position
@@ -185,15 +196,19 @@ def _search_word(
         key = (placed, required)
         if key in failed:
             return False
-        # An unplaced vertex that fits no letter now fits none later.
-        if free & ~functools.reduce(operator.or_, fit, 0):
-            return False
         for x in range(k):
             # One vertex per orbit first, one per twin class and letter.
             moves = fit[x] & free if placed else fit[x] & first
+            # A child's fit[z] keeps adj[v] if (x, z) is in the decoder, and
+            # ~adj[v] if out: its OR is adj[v] & into | ~adj[v] & out.
+            into = functools.reduce(operator.or_, itertools.compress(fit, ins[x]), 0)
+            out = functools.reduce(operator.or_, itertools.compress(fit, outs[x]), 0)
             while moves:
                 v = (moves & -moves).bit_length() - 1
                 moves &= ~same[v]
+                # An unplaced vertex that fits no letter now fits none later.
+                if (free ^ 1 << v) & ~(adj[v] & into | ~adj[v] & out):
+                    continue
                 path.append((x, v))
                 if extend(
                     placed | 1 << v,
@@ -220,10 +235,16 @@ def _has_lettering(g: SimpleGraph, k: int) -> bool:
     only get fixed, so a vertex that fits no letter now fits none later.
 
     full[y] and none[y] mask the vertices adjacent to all and to none of the
-    letter-y class (every vertex, while the class is empty).  A vertex can
-    take letter x when, for every class y, it lies in full[y] if (y, x) is
-    fixed in the decoder, in none[y] if fixed out, and in either if open;
-    its bit of full[y] then fixes an open pair."""
+    letter-y class (every vertex, while the class is empty).  Class y
+    constrains letter x to full[y] if (y, x) is fixed in the decoder, to
+    none[y] if fixed out, and to either if open; cans[x] is the AND of these
+    over the classes, and a vertex's bit of full[y] fixes an open pair.
+    A child narrows its parent's cans: fixing (y, x) ANDs full[y] or none[y]
+    into cans[x], and growing class x ANDs its new full[x] | none[x] into
+    every cans[z].  Those halves are disjoint once the class is nonempty, so
+    a cans[z] already inside one stays inside it.  The parent skips a child
+    that leaves an unplaced vertex outside every live cans: it would only
+    fail, so it builds no memo key and is never stored."""
     n = g.order
     adj = graphs.adjacency_masks(g)
     same, first = _prune_masks(g)
@@ -232,7 +253,7 @@ def _has_lettering(g: SimpleGraph, k: int) -> bool:
     pair = [[1 << (y * k + x) for x in range(k)] for y in range(k)]
     failed: set[tuple[tuple[int, ...], int, int]] = set()
 
-    def extend(placed, classes, full, none, fixed, inside) -> bool:
+    def extend(placed, classes, full, none, fixed, inside, cans) -> bool:
         # classes[y] holds the vertices placed with letter y; bit y * k + x of
         # `fixed` marks the pair (y, x) fixed, and of `inside`, in the decoder.
         if placed == everyone:
@@ -241,48 +262,45 @@ def _has_lettering(g: SimpleGraph, k: int) -> bool:
         if key in failed:
             return False
         used = len(classes)
-        free = everyone ^ placed
-        cans = []
-        fits = placed
         for x in range(min(used + 1, k)):
-            can = free
-            for y in range(used):
-                bit = pair[y][x]
-                if not fixed & bit:
-                    can &= full[y] | none[y]
-                else:
-                    can &= full[y] if inside & bit else none[y]
-            fits |= can
-            cans.append(can)
-        if fits == everyone:
-            for x, can in enumerate(cans):
-                # One vertex per orbit first, one per twin class and letter.
-                if not placed:
-                    can &= first
-                opened = [(full[y], pair[y][x]) for y in range(used) if not fixed & pair[y][x]]
-                tested = fixed | sum(bit for _, bit in opened)
-                while can:
-                    low = can & -can
-                    v = low.bit_length() - 1
-                    can &= ~same[v]
-                    i = inside
-                    for full_y, bit in opened:
-                        if full_y & low:
-                            i |= bit
-                    cls = classes[x] | low if x < used else low
-                    if extend(
-                        placed | low,
-                        classes[:x] + (cls,) + classes[x + 1 :],
-                        full[:x] + (full[x] & adj[v],) + full[x + 1 :],
-                        none[:x] + (none[x] & non[v],) + none[x + 1 :],
-                        tested,
-                        i,
-                    ):
-                        return True
+            # One vertex per orbit first, one per twin class and letter.
+            can = cans[x] & ~placed if placed else cans[x] & first
+            opened = [(full[y], none[y], pair[y][x]) for y in range(used) if not fixed & pair[y][x]]
+            tested = fixed | sum(bit for _, _, bit in opened)
+            live = min(used + 1 + (x == used), k)
+            rest = functools.reduce(operator.or_, cans[:x] + cans[x + 1 : live], 0)
+            while can:
+                low = can & -can
+                v = low.bit_length() - 1
+                can &= ~same[v]
+                i, pinned = inside, everyone
+                for full_y, none_y, bit in opened:
+                    if full_y & low:
+                        i |= bit
+                        pinned &= full_y
+                    else:
+                        pinned &= none_y
+                fx, nx = full[x] & adj[v], none[x] & non[v]
+                both = fx | nx
+                cx = cans[x] & both & pinned
+                if (placed | low | both & rest | cx) != everyone:
+                    continue
+                child = [c & both for c in cans]
+                child[x] = cx
+                if extend(
+                    placed | low,
+                    classes[:x] + (classes[x] | low if x < used else low,) + classes[x + 1 :],
+                    full[:x] + (fx,) + full[x + 1 :],
+                    none[:x] + (nx,) + none[x + 1 :],
+                    tested,
+                    i,
+                    tuple(child),
+                ):
+                    return True
         failed.add(key)
         return False
 
-    return extend(0, (), (everyone,) * k, (everyone,) * k, 0, 0)
+    return extend(0, (), (everyone,) * k, (everyone,) * k, 0, 0, (everyone,) * k)
 
 
 @dataclasses.dataclass
@@ -297,7 +315,8 @@ class _ClassRecord:
 
 
 class LetteringCache:
-    """Least letterings, with the search shared across isomorphic graphs.
+    """Letterings with the least decoder, the search shared across
+    isomorphic graphs.
 
     Classes are keyed by the certificate of `graphs.canonical_form`, whose
     search also gives the vertex orbits that prune the lettering searches.
@@ -337,7 +356,7 @@ class LetteringCache:
         size = rec.size
         if rec.decoder is None:
             # No smaller size has a lettering, so the first decoder of this
-            # size with a word is the least witness.
+            # size with a word is the least witness decoder.
             for decoder in canonical_decoders(size):
                 found = _search_word(g, size, decoder)
                 if found is not None:
@@ -367,8 +386,10 @@ def find_lettering(g: SimpleGraph, k: int) -> Optional[Letterization]:
     """A lettering of g over at most k letters, or None if none exists.
 
     The alphabet size is the lettericity, decided first; at that size
-    decoders are tried in their canonical order and words lexicographically,
-    so the result is the least (decoder, word) witness of minimal size.
+    decoders are tried in their canonical order, so the decoder is the least
+    one of minimal size.  The word is the first success of the word search in
+    (letter ascending, vertex ascending) order, so it depends on the vertex
+    labels of g and need not be the least word for that decoder.
     """
     return LetteringCache().find_lettering(g, k)
 

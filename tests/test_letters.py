@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gridletters import letters, oracle
 from gridletters.graphs import (
     adjacency_masks,
+    canonical_form,
     complement,
     family,
     find_isomorphism,
@@ -84,8 +85,11 @@ class TestComplementDecoder:
 
 
 def brute_least_lettering(g, k):
-    """Reference for the tie-break: least (decoder, word) over canonical
-    decoders, sizes ascending, all letters used."""
+    """The least (decoder, word) over canonical decoders, sizes ascending,
+    all letters used.  Its decoder is the one `find_lettering` returns; the
+    word `find_lettering` returns is the first success of its search in
+    (letter ascending, vertex ascending) order, which depends on the vertex
+    labels, so it equals this least word only on some graphs."""
     n = g.order
     for size in range(1, k + 1):
         for decoder in sorted(
@@ -140,6 +144,34 @@ class TestFindLettering:
             )
             got_word = tuple(ord(c) - ord("a") for c in lz.word)
             assert (got_decoder, got_word) == expected
+
+    def test_decoder_is_the_least_with_a_word(self):
+        # Per (order, size, decoder), the certificates of every decoded word;
+        # the expected decoder is the least with a word decoding to g.
+        certificates = {}
+
+        def decodes_to(n, size, decoder, certificate):
+            key = (n, size, decoder)
+            if key not in certificates:
+                pairs = list(itertools.combinations(range(n), 2))
+                certificates[key] = {
+                    canonical_form(graph(n, [(i + 1, j + 1) for i, j in pairs if (w[i], w[j]) in decoder]))[0]
+                    for w in itertools.product(range(size), repeat=n)
+                }
+            return certificate in certificates[key]
+
+        for n in range(1, 6):
+            for g in small_graphs(n):
+                certificate = canonical_form(g)[0]
+                expected = next(
+                    (size, decoder)
+                    for size in range(1, n + 1)
+                    for decoder in sorted(oracle._decoder_reps(size), key=sorted)
+                    if decodes_to(n, size, decoder, certificate)
+                )
+                lz = find_lettering(g, n)
+                got = frozenset((LETTER_SYMBOLS.index(a), LETTER_SYMBOLS.index(b)) for a, b in lz.decoder)
+                assert (len(lz.alphabet), got) == expected, g
 
     def test_deterministic(self):
         g = family("cycle", 5)
@@ -521,6 +553,10 @@ class TestClosedFormAnchors:
         # Ferguson, "On the lettericity of paths": lett(P_n) = floor((n + 4) / 3).
         assert lettericity(family("path", 10)) == 4
         assert lettericity(family("path", 11)) == 5
+
+    def test_path_of_twelve_vertices(self):
+        # floor((12 + 4) / 3) = 5, the same size as P_11 but a larger search.
+        assert lettericity(family("path", 12)) == 5
 
     def test_complements_have_equal_lettericity(self):
         # Complementing the decoder complements every letter graph.
