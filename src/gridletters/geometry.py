@@ -150,7 +150,7 @@ def _point_on_cell(
     cell: Cell, sign: int, signs: SignedMatrix, p: Union[int, Fraction], d: int = 1
 ) -> Point:
     # The point at offset p/d from the cell's base point: each coordinate is
-    # one Fraction over d, built from integers when p is one.
+    # one Fraction over d, built from integers when p is an integer.
     k, l = cell
     tx = p if signs.col_signs[k - 1] == 1 else d - p
     y = (l - 1) * d + tx if sign == 1 else l * d - tx
@@ -169,13 +169,12 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
     psi = consistency(local_orders(gp, signs))
     if psi is None:
         return None
-    n = len(gp.perm)
-    points = []
-    for i in range(1, n + 1):
-        cell = gp.cell_of(i)
-        sign = gp.matrix.entries[cell[0] - 1][cell[1] - 1]
-        points.append(_point_on_cell(cell, sign, signs, psi[i - 1], n + 1))
-    r = Realization(gp, signs, tuple(points))
+    d = len(gp.perm) + 1
+    points = tuple(
+        _point_on_cell(cell, gp.matrix.entries[cell[0] - 1][cell[1] - 1], signs, p, d)
+        for cell, p in zip(gp.cells, psi)
+    )
+    r = Realization(gp, signs, points)
     check_realization(r)
     return r
 
@@ -186,6 +185,14 @@ def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
     figure or the set is not generic.  Every test runs on exact integers:
     the coordinates times d, the least common multiple of their denominators.
     """
+    values, cells = _read_entries(m, points)
+    return GriddedPermutation(Permutation(values), m, *divisions_of_cells(cells, m.cols, m.rows))
+
+
+def _read_entries(
+    m: GridMatrix, points: Sequence[Point]
+) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
+    # The values and cells of the points in x order, checked as `read_points` says.
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
     d = math.lcm(*(q for point in ratios for _, q in point))
     n = len(points)
@@ -212,14 +219,15 @@ def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
         raise ValueError("point set is not generic")
     by_x = sorted(range(n), key=xs.__getitem__)
     yrank = {y: r for r, y in enumerate(sorted(ys), start=1)}
-    perm = Permutation(tuple(yrank[ys[idx]] for idx in by_x))
-    return GriddedPermutation(perm, m, *divisions_of_cells(cells, m.cols, m.rows))
+    return tuple(yrank[ys[idx]] for idx in by_x), tuple(cells[idx] for idx in by_x)
 
 
 def check_realization(r: Realization) -> None:
-    """Raise unless the points are a drawing reading back to the gridding."""
-    got = read_points(r.gridded.matrix, r.points)
-    if got != r.gridded:
+    """Raise unless the points are a drawing reading back to the gridding:
+    the same values and cells in x order, whose per-line counts are the
+    divisions."""
+    gp = r.gridded
+    if _read_entries(gp.matrix, r.points) != (gp.perm.values, gp.cells):
         raise ValueError("realization does not read back to its gridding")
     # Points are listed by entry: x must increase with position.
     if any(p[0] > q[0] for p, q in zip(r.points, r.points[1:])):
@@ -277,8 +285,8 @@ def encode_gridded(gp: GriddedPermutation, signs: SignedMatrix) -> CellWord:
     if psi is None:
         raise ValueError("gridding has inconsistent local orders")
     letters: list[Cell] = [None] * len(gp.perm)  # type: ignore[list-item]
-    for i in range(1, len(gp.perm) + 1):
-        letters[psi[i - 1] - 1] = gp.cell_of(i)
+    for cell, p in zip(gp.cells, psi):
+        letters[p - 1] = cell
     return CellWord(gp.matrix, tuple(letters))
 
 
@@ -389,6 +397,5 @@ def embed_in_universal(
     def row_target(l: int) -> int:
         return 2 * l - 1 if signs.row_signs[l - 1] == 1 else 2 * l
 
-    n = len(gp.perm)
-    cells = [(col_target(k), row_target(l)) for k, l in map(gp.cell_of, range(1, n + 1))]
+    cells = [(col_target(k), row_target(l)) for k, l in gp.cells]
     return GriddedPermutation(gp.perm, s, *divisions_of_cells(cells, 2 * a, 2 * b)), s_signed

@@ -111,10 +111,19 @@ def format_matrix(m: GridMatrix) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class GriddedPermutation:
+    """A permutation with a valid gridding by a matrix.
+
+    cells[i-1] is the cell (column, row) of the entry at position i.  The
+    one validation pass computes it and keeps it, so no reader derives a
+    cell again; it plays no part in ==, hash or repr, which the divisions
+    already fix.
+    """
+
     perm: Permutation
     matrix: GridMatrix
     col_divs: tuple[int, ...]
     row_divs: tuple[int, ...]
+    cells: tuple[tuple[int, int], ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.perm)
@@ -126,8 +135,18 @@ class GriddedPermutation:
                 raise ValueError("divisions must start at 1 and end at n+1")
             if list(divs) != sorted(divs):
                 raise ValueError("divisions must be nondecreasing")
-        if not _cells_ok(self.perm, self.matrix, self.col_divs, self.row_divs):
-            raise ValueError("cell contents violate the matrix")
+        # The divisions run from 1 to n+1, so every entry lands in the matrix.
+        cells = []
+        last: dict[tuple[int, int], int] = {}
+        for i, v in enumerate(self.perm.values, start=1):
+            cell = bisect.bisect_right(self.col_divs, i), bisect.bisect_right(self.row_divs, v)
+            sign = self.matrix.entries[cell[0] - 1][cell[1] - 1]
+            prev = last.get(cell)
+            if sign == 0 or (prev is not None and (v - prev) * sign < 0):
+                raise ValueError("cell contents violate the matrix")
+            last[cell] = v
+            cells.append(cell)
+        object.__setattr__(self, "cells", tuple(cells))
 
     def column_of(self, i: int) -> int:
         """Column whose half-open position range [x_k, x_{k+1}) contains i."""
@@ -142,43 +161,16 @@ class GriddedPermutation:
 
     def cell_of(self, i: int) -> tuple[int, int]:
         """Cell (column, row) of the entry at position i."""
-        return self.column_of(i), self.row_of_value(self.perm.at(i))
+        if not (1 <= i <= len(self.perm)):
+            raise ValueError(f"index {i} out of range")
+        return self.cells[i - 1]
 
     def entries_in_column(self, k: int) -> tuple[int, ...]:
         lo, hi = self.col_divs[k - 1], self.col_divs[k]
         return tuple(range(lo, hi))
 
     def entries_in_row(self, l: int) -> tuple[int, ...]:
-        lo, hi = self.row_divs[l - 1], self.row_divs[l]
-        return tuple(
-            sorted(self.perm.position_of(v) for v in range(lo, hi))
-        )
-
-
-def _cells_ok(
-    pi: Permutation,
-    matrix: GridMatrix,
-    col_divs: Sequence[int],
-    row_divs: Sequence[int],
-) -> bool:
-    last: dict[tuple[int, int], int] = {}
-    for i in range(1, len(pi) + 1):
-        v = pi.at(i)
-        k = bisect.bisect_right(col_divs, i)
-        l = bisect.bisect_right(row_divs, v)
-        if k < 1 or k > matrix.cols or l < 1 or l > matrix.rows:
-            return False
-        sign = matrix.entries[k - 1][l - 1]
-        if sign == 0:
-            return False
-        prev = last.get((k, l))
-        if prev is not None:
-            if sign == 1 and v < prev:
-                return False
-            if sign == -1 and v > prev:
-                return False
-        last[(k, l)] = v
-    return True
+        return tuple(i for i, cell in enumerate(self.cells, start=1) if cell[1] == l)
 
 
 def _division_tuples(n: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -169,31 +169,30 @@ def _search_word(
     the vertex labels.  At k = lett(g), the one size the witness search asks,
     every such word uses all k letters.
 
-    required[x] masks the placed vertices that a vertex placed next with
-    letter x must see, and fit[x] the vertices whose placed neighbours are
-    exactly required[x].  Placing u with letter y keeps in fit[x] the
-    neighbours of u if (y, x) is in the decoder and the non-neighbours
-    otherwise, so the moves of letter x are the free bits of fit[x].  A
-    child whose fit leaves an unplaced vertex fitting no letter is dropped
-    before the call: it builds no memo key and is never stored."""
+    fit[x] masks the vertices whose placed neighbours are exactly the
+    placed vertices that a vertex placed next with letter x must see.
+    Placing u with letter y keeps in fit[x] the neighbours of u if (y, x) is
+    in the decoder and the non-neighbours otherwise, so the moves of letter
+    x are the free bits of fit[x].  The search below a node reads only the
+    placed set and fit, so the pair is its memo key.  A child whose fit
+    leaves an unplaced vertex fitting no letter is dropped before the call:
+    it builds no memo key and is never stored."""
     n = g.order
     adj = graphs.adjacency_masks(g)
     same, first = _prune_masks(g)
     everyone = (1 << n) - 1
-    # Placing v with letter y ORs grow[y][v] into required and ANDs
-    # cut[y][v] into fit, letter by letter.
+    # Placing v with letter y ANDs cut[y][v] into fit, letter by letter.
     ins = [[(y, x) in decoder for x in range(k)] for y in range(k)]
     outs = [[not d for d in row] for row in ins]
-    grow = [[tuple(1 << v if d else 0 for d in row) for v in range(n)] for row in ins]
     cut = [[tuple(adj[v] if d else ~adj[v] for d in row) for v in range(n)] for row in ins]
     path: list[tuple[int, int]] = []  # (letter, vertex) per position
     failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def extend(placed: int, required: tuple[int, ...], fit: tuple[int, ...]) -> bool:
+    def extend(placed: int, fit: tuple[int, ...]) -> bool:
         free = everyone ^ placed
         if not free:
             return True
-        key = (placed, required)
+        key = (placed, fit)
         if key in failed:
             return False
         for x in range(k):
@@ -210,17 +209,13 @@ def _search_word(
                 if (free ^ 1 << v) & ~(adj[v] & into | ~adj[v] & out):
                     continue
                 path.append((x, v))
-                if extend(
-                    placed | 1 << v,
-                    tuple(map(operator.or_, required, grow[x][v])),
-                    tuple(map(operator.and_, fit, cut[x][v])),
-                ):
+                if extend(placed | 1 << v, tuple(map(operator.and_, fit, cut[x][v]))):
                     return True
                 path.pop()
         failed.add(key)
         return False
 
-    if not extend(0, (0,) * k, (everyone,) * k):
+    if not extend(0, (everyone,) * k):
         return None
     iso = [0] * n
     for pos, (_, v) in enumerate(path, start=1):

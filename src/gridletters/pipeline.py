@@ -88,11 +88,9 @@ def reletter(lz: Letterization, gp: GriddedPermutation) -> RefinedLetterization:
     g = inversion_graph(gp.perm)
     if not letters.verify_letterization(g, lz):
         raise PipelineError("iso is not an isomorphism onto the letter graph")
-    n = len(gp.perm)
-    word: list[RefinedLetter] = [None] * n  # type: ignore[list-item]
-    for i in range(1, n + 1):
-        k, l = gp.cell_of(i)
-        word[lz.iso[i - 1] - 1] = (lz.word[lz.iso[i - 1] - 1], k, l)
+    word: list[RefinedLetter] = [None] * len(gp.perm)  # type: ignore[list-item]
+    for p, (k, l) in zip(lz.iso, gp.cells):
+        word[p - 1] = (lz.word[p - 1], k, l)
     alphabet = tuple(sorted(set(word)))
     decoder = frozenset(
         (p, q)
@@ -111,20 +109,18 @@ def _letter_entries(rlz: RefinedLetterization, n: int) -> dict[RefinedLetter, li
 
 
 def _check_one_cell_per_letter(rlz: RefinedLetterization, gp: GriddedPermutation) -> None:
-    for i in range(1, len(gp.perm) + 1):
+    for i, cell in enumerate(gp.cells, start=1):
         letter = rlz.letter_of(i)
-        if gp.cell_of(i) != (letter[1], letter[2]):
+        if cell != letter[1:]:
             raise PipelineError(f"letter {letter} used outside its cell")
 
 
 def _check_no_cell_intervals(gp: GriddedPermutation) -> None:
     # Adjacent positions with adjacent values inside one cell have no
     # separating entry, which breaks the reading orders downstream.
-    for i in range(1, len(gp.perm)):
-        if (
-            abs(gp.perm.at(i + 1) - gp.perm.at(i)) == 1
-            and gp.cell_of(i) == gp.cell_of(i + 1)
-        ):
+    values, cells = gp.perm.values, gp.cells
+    for i in range(1, len(values)):
+        if abs(values[i] - values[i - 1]) == 1 and cells[i] == cells[i - 1]:
             raise PipelineError(f"nontrivial monotone interval at positions {i}, {i + 1}")
 
 
@@ -179,10 +175,10 @@ def regrid(gp: GriddedPermutation, rlz: RefinedLetterization) -> GriddedPermutat
     row_divs = tuple(sorted(row_cuts))
     # New cuts refine the old ones, so each entry keeps its parent cell's sign.
     entries = [[0] * (len(row_divs) - 1) for _ in range(len(col_divs) - 1)]
-    for i in range(1, len(gp.perm) + 1):
+    for i, (v, (k, l)) in enumerate(zip(gp.perm.values, gp.cells), start=1):
         a = bisect.bisect_right(col_divs, i) - 1
-        b = bisect.bisect_right(row_divs, gp.perm.at(i)) - 1
-        entries[a][b] = gp.matrix.entry(*gp.cell_of(i))
+        b = bisect.bisect_right(row_divs, v) - 1
+        entries[a][b] = gp.matrix.entries[k - 1][l - 1]
     matrix = GridMatrix(len(col_divs) - 1, len(row_divs) - 1, tuple(map(tuple, entries)))
     return GriddedPermutation(gp.perm, matrix, col_divs, row_divs)
 
@@ -242,23 +238,23 @@ def contract_gridded(
     entry of the second would differ by exactly s, and the scan would
     already have joined them into one run.
     """
-    pi = gp.perm
-    n = len(pi)
+    values, cells = gp.perm.values, gp.cells
+    n = len(values)
     groups: list[tuple[int, int]] = []
     i = 1
     while i <= n:
         j = i
-        while j < n and abs(pi.at(j + 1) - pi.at(j)) == 1 and gp.cell_of(j) == gp.cell_of(j + 1):
+        while j < n and abs(values[j] - values[j - 1]) == 1 and cells[j] == cells[j - 1]:
             j += 1
         groups.append((i, j))
         i = j + 1
     if len(groups) == n:
         return gp, tuple(groups)
-    mins = [min(pi.values[a - 1 : b]) for a, b in groups]
+    mins = [min(values[a - 1 : b]) for a, b in groups]
     ranks = {m: r + 1 for r, m in enumerate(sorted(mins))}
     # Each group lies in one cell, so the groups' cells fix the divisions.
     col_divs, row_divs = divisions_of_cells(
-        (gp.cell_of(a) for a, _ in groups), gp.matrix.cols, gp.matrix.rows
+        (cells[a - 1] for a, _ in groups), gp.matrix.cols, gp.matrix.rows
     )
     contracted = Permutation(tuple(ranks[m] for m in mins))
     return GriddedPermutation(contracted, gp.matrix, col_divs, row_divs), tuple(groups)
@@ -282,8 +278,7 @@ def _inflate_points(
     (n + 1 for a drawing from `realize`), and each new coordinate is one
     Fraction.
     """
-    points = contracted.points
-    cells = tuple(contracted.gridded.cell_of(i) for i in range(1, len(points) + 1))
+    points, cells = contracted.points, contracted.gridded.cells
     if all(a == b for a, b in groups):
         return cells, points
     d = math.lcm(*(c.denominator for point in points for c in point))
@@ -545,8 +540,7 @@ def _universal_ok(result: GeometrizeResult, t: int, u: int) -> bool:
     try:
         gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
         points = []
-        for i, (x, y) in enumerate(real.points, start=1):
-            k, l = real.gridded.cell_of(i)
+        for (x, y), (k, l) in zip(real.points, real.gridded.cells):
             dx = k if col_signs[k - 1] == 1 else k - 1
             dy = l - 1 if row_signs[l - 1] == 1 else l
             points.append((x + dx, y + dy))

@@ -183,6 +183,26 @@ class TestReadPoints:
             read_points(grid_matrix([[-1]]), [(Fraction(-1, 2), Fraction(1, 2))])
 
 
+class TestCheckRealization:
+    def test_rejects_another_gridding_of_the_same_permutation(self, fan_gridding, fan_matrix):
+        signs = pmm_signs(fan_matrix)
+        r = realize(fan_gridding, signs)
+        check_realization(r)
+        others = [gp for gp in all_griddings(fan_gridding.perm, fan_matrix) if gp != fan_gridding]
+        assert len(others) == 16
+        for other in others:
+            with pytest.raises(ValueError, match="does not read back to its gridding"):
+                check_realization(Realization(other, signs, r.points))
+
+    def test_rejects_a_gridding_of_another_permutation(self, fan_gridding, fan_matrix):
+        signs = pmm_signs(fan_matrix)
+        r = realize(fan_gridding, signs)
+        other = find_gridding(P("6437152"), fan_matrix)
+        assert other is not None and other.matrix == fan_matrix
+        with pytest.raises(ValueError, match="does not read back to its gridding"):
+            check_realization(Realization(other, signs, r.points))
+
+
 class TestDecodeWord:
     def test_single_increasing_cell(self, one_cell):
         signs = pmm_signs(one_cell)

@@ -14,6 +14,7 @@ from gridletters.gridding import (
     from_display_rows,
     grid_matrix,
     is_skew_merged,
+    iter_griddings,
     iter_sign_vectors,
     matching_pattern_witness,
     parse_matrix,
@@ -170,6 +171,40 @@ class TestGriddedPermutation:
     def test_divisions_must_cover(self, one_cell):
         with pytest.raises(ValueError):
             GriddedPermutation(P("1"), one_cell, (1, 1), (1, 2))
+
+
+class TestCellTable:
+    def test_cells_match_column_and_row_up_to_6(
+        self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix
+    ):
+        count = 0
+        for m in (x_matrix, v_matrix, fan_matrix, double(non_pmm_matrix)):
+            for n in range(7):
+                for pi in perms_of(n):
+                    for gp in iter_griddings(pi, m):
+                        assert len(gp.cells) == n
+                        for i in range(1, n + 1):
+                            want = (gp.column_of(i), gp.row_of_value(gp.perm.at(i)))
+                            assert gp.cells[i - 1] == want == gp.cell_of(i), (gp, i)
+                        count += 1
+        assert count == 2909 + 127 + 7587 + 20483
+
+    def test_cells_play_no_part_in_eq_hash_repr(self, fan_matrix):
+        gp = GriddedPermutation(P("6437251"), fan_matrix, (1, 3, 5, 8), (1, 4, 8))
+        other = GriddedPermutation(P("6437251"), fan_matrix, (1, 3, 5, 8), (1, 4, 8))
+        object.__setattr__(other, "cells", ())
+        assert gp == other and hash(gp) == hash(other) and repr(gp) == repr(other)
+        assert repr(gp) == (
+            f"GriddedPermutation(perm={gp.perm!r}, matrix={fan_matrix!r}, "
+            "col_divs=(1, 3, 5, 8), row_divs=(1, 4, 8))"
+        )
+        assert gp != GriddedPermutation(P("6437251"), fan_matrix, (1, 3, 5, 8), (1, 3, 8))
+
+    def test_cell_of_keeps_its_range_check(self, fan_matrix):
+        gp = GriddedPermutation(P("6437251"), fan_matrix, (1, 3, 5, 8), (1, 4, 8))
+        for i in (0, 8):
+            with pytest.raises(ValueError, match="out of range"):
+                gp.cell_of(i)
 
 
 class TestSkewMerged:
