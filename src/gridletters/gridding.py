@@ -166,10 +166,13 @@ class GriddedPermutation:
         return self.cells[i - 1]
 
     def entries_in_column(self, k: int) -> tuple[int, ...]:
-        lo, hi = self.col_divs[k - 1], self.col_divs[k]
-        return tuple(range(lo, hi))
+        if not (1 <= k <= self.matrix.cols):
+            raise ValueError(f"column {k} out of range")
+        return tuple(range(self.col_divs[k - 1], self.col_divs[k]))
 
     def entries_in_row(self, l: int) -> tuple[int, ...]:
+        if not (1 <= l <= self.matrix.rows):
+            raise ValueError(f"row {l} out of range")
         return tuple(i for i, cell in enumerate(self.cells, start=1) if cell[1] == l)
 
 

@@ -74,15 +74,6 @@ class ReadingOrders:
     orders: tuple[tuple[RefinedLetter, int, int], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class HullRectangle:
-    """Minimal axis-parallel rectangle of the entries encoded by one letter."""
-
-    letter: RefinedLetter
-    positions: tuple[int, int]  # closed index range
-    values: tuple[int, int]  # closed value range
-
-
 def reletter(lz: Letterization, gp: GriddedPermutation) -> RefinedLetterization:
     """Attach cell coordinates to every letter of a verified lettering."""
     g = inversion_graph(gp.perm)
@@ -101,18 +92,18 @@ def reletter(lz: Letterization, gp: GriddedPermutation) -> RefinedLetterization:
     return RefinedLetterization(alphabet, decoder, tuple(word), lz.iso)
 
 
-def _letter_entries(rlz: RefinedLetterization, n: int) -> dict[RefinedLetter, list[int]]:
+def _letter_entries(
+    rlz: RefinedLetterization, gp: GriddedPermutation
+) -> dict[RefinedLetter, list[int]]:
+    """Each refined letter's positions, ascending, keyed in alphabet order,
+    from one pass that checks every entry lies in its letter's cell."""
     out: dict[RefinedLetter, list[int]] = {a: [] for a in rlz.alphabet}
-    for i in range(1, n + 1):
-        out[rlz.letter_of(i)].append(i)
-    return out
-
-
-def _check_one_cell_per_letter(rlz: RefinedLetterization, gp: GriddedPermutation) -> None:
     for i, cell in enumerate(gp.cells, start=1):
         letter = rlz.letter_of(i)
         if cell != letter[1:]:
             raise PipelineError(f"letter {letter} used outside its cell")
+        out[letter].append(i)
+    return out
 
 
 def _check_no_cell_intervals(gp: GriddedPermutation) -> None:
@@ -131,10 +122,10 @@ def reading_orders(rlz: RefinedLetterization, gp: GriddedPermutation) -> Reading
     vertical order always follows from the horizontal one and the sign of
     the letter's cell.
     """
-    _check_one_cell_per_letter(rlz, gp)
+    entries_of = _letter_entries(rlz, gp)
     _check_no_cell_intervals(gp)
     orders = []
-    for letter, entries in _letter_entries(rlz, len(gp.perm)).items():
+    for letter, entries in entries_of.items():
         ranks = [rlz.iso[i - 1] for i in entries]
         if ranks == sorted(ranks):
             h = 1
@@ -146,18 +137,6 @@ def reading_orders(rlz: RefinedLetterization, gp: GriddedPermutation) -> Reading
     return ReadingOrders(tuple(orders))
 
 
-def hull_rectangles(
-    rlz: RefinedLetterization, gp: GriddedPermutation
-) -> tuple[HullRectangle, ...]:
-    hulls = []
-    for letter, entries in _letter_entries(rlz, len(gp.perm)).items():
-        values = [gp.perm.at(i) for i in entries]
-        hulls.append(
-            HullRectangle(letter, (min(entries), max(entries)), (min(values), max(values)))
-        )
-    return tuple(sorted(hulls, key=lambda hull: hull.letter))
-
-
 def regrid(gp: GriddedPermutation, rlz: RefinedLetterization) -> GriddedPermutation:
     """Slice the gridding just outside every letter's hull rectangle.
 
@@ -165,14 +144,13 @@ def regrid(gp: GriddedPermutation, rlz: RefinedLetterization) -> GriddedPermutat
     division i; just right is i+1), duplicates collapse, and since every
     integer in 1..n is an occupied position, no empty column or row remains.
     """
-    _check_one_cell_per_letter(rlz, gp)
-    col_cuts = set(gp.col_divs)
-    row_cuts = set(gp.row_divs)
-    for hull in hull_rectangles(rlz, gp):
-        col_cuts.update((hull.positions[0], hull.positions[1] + 1))
-        row_cuts.update((hull.values[0], hull.values[1] + 1))
-    col_divs = tuple(sorted(col_cuts))
-    row_divs = tuple(sorted(row_cuts))
+    col_cuts, row_cuts = set(gp.col_divs), set(gp.row_divs)
+    for positions in _letter_entries(rlz, gp).values():
+        # The positions ascend, so the hull spans the first to the last.
+        values = [gp.perm.values[i - 1] for i in positions]
+        col_cuts.update((positions[0], positions[-1] + 1))
+        row_cuts.update((min(values), max(values) + 1))
+    col_divs, row_divs = tuple(sorted(col_cuts)), tuple(sorted(row_cuts))
     # New cuts refine the old ones, so each entry keeps its parent cell's sign.
     entries = [[0] * (len(row_divs) - 1) for _ in range(len(col_divs) - 1)]
     for i, (v, (k, l)) in enumerate(zip(gp.perm.values, gp.cells), start=1):
@@ -197,22 +175,22 @@ def assign_signs(
     """
     table = {letter: (h, v) for letter, h, v in ro.orders}
     cols, rows = regridded.matrix.cols, regridded.matrix.rows
+    col_orders: list[set[int]] = [set() for _ in range(cols)]
+    row_orders: list[set[int]] = [set() for _ in range(rows)]
+    for i, (k, l) in enumerate(regridded.cells, start=1):
+        h, v = table[rlz.letter_of(i)]
+        col_orders[k - 1].add(h)
+        row_orders[l - 1].add(v)
 
-    def line_sign(entries: tuple[int, ...], axis: int, line: str) -> int:
-        if not entries:
+    def line_sign(found: set[int], direction: str, line: str) -> int:
+        if not found:
             raise PipelineError(f"{line} of the regridded permutation is empty")
-        found = {table[rlz.letter_of(i)][axis] for i in entries}
         if len(found) != 1:
-            direction = ("horizontal", "vertical")[axis]
             raise ReadingOrderConflictError(f"conflicting {direction} reading orders in {line}")
-        return found.pop()
+        return min(found)
 
-    col_signs = [
-        line_sign(regridded.entries_in_column(k), 0, f"column {k}") for k in range(1, cols + 1)
-    ]
-    row_signs = [
-        line_sign(regridded.entries_in_row(l), 1, f"row {l}") for l in range(1, rows + 1)
-    ]
+    col_signs = [line_sign(s, "horizontal", f"column {k}") for k, s in enumerate(col_orders, 1)]
+    row_signs = [line_sign(s, "vertical", f"row {l}") for l, s in enumerate(row_orders, 1)]
     matrix = GridMatrix(
         cols,
         rows,
@@ -536,15 +514,13 @@ def _universal_ok(result: GeometrizeResult, t: int, u: int) -> bool:
     reads back to the embedding is a complete membership witness.
     """
     real = result.realization
-    col_signs, row_signs = real.signs.col_signs, real.signs.row_signs
     try:
         gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
-        points = []
-        for (x, y), (k, l) in zip(real.points, real.gridded.cells):
-            dx = k if col_signs[k - 1] == 1 else k - 1
-            dy = l - 1 if row_signs[l - 1] == 1 else l
-            points.append((x + dx, y + dy))
-        geometry.check_realization(Realization(gp_s, signs_s, tuple(points)))
+        points = tuple(
+            (x + K - k, y + L - l)
+            for (x, y), (k, l), (K, L) in zip(real.points, real.gridded.cells, gp_s.cells)
+        )
+        geometry.check_realization(Realization(gp_s, signs_s, points))
     except ValueError:
         return False
     return True

@@ -206,6 +206,17 @@ class TestCellTable:
             with pytest.raises(ValueError, match="out of range"):
                 gp.cell_of(i)
 
+    def test_line_accessors_check_their_index(self, x_matrix):
+        gp = find_gridding(P("3142"), x_matrix)
+        assert [gp.entries_in_column(k) for k in (1, 2)] == [(1, 2), (3, 4)]
+        assert [gp.entries_in_row(l) for l in (1, 2)] == [(2, 4), (1, 3)]
+        for k in (-1, 0, 3):
+            with pytest.raises(ValueError, match=f"column {k} out of range"):
+                gp.entries_in_column(k)
+        for l in (-1, 0, 3):
+            with pytest.raises(ValueError, match=f"row {l} out of range"):
+                gp.entries_in_row(l)
+
 
 class TestSkewMerged:
     def test_examples(self):

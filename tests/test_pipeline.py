@@ -32,7 +32,6 @@ from gridletters.pipeline import (
     class_experiment,
     contract_gridded,
     geometrize,
-    hull_rectangles,
     reading_orders,
     regrid,
     reletter,
@@ -149,11 +148,11 @@ class TestRegrid:
         lz = find_lettering(inversion_graph(P("3142")), 2)
         rlz = reletter(lz, gp)
         out = regrid(gp, rlz)
-        for hull in hull_rectangles(rlz, gp):
-            assert hull.positions[0] in out.col_divs
-            assert hull.positions[1] + 1 in out.col_divs
-            assert hull.values[0] in out.row_divs
-            assert hull.values[1] + 1 in out.row_divs
+        for positions, values in reference_hulls(rlz, gp):
+            assert positions[0] in out.col_divs
+            assert positions[1] + 1 in out.col_divs
+            assert values[0] in out.row_divs
+            assert values[1] + 1 in out.row_divs
 
     def test_no_empty_columns_or_rows(self, x_matrix):
         for pi in skew_merged_upto(5, x_matrix):
@@ -189,6 +188,32 @@ class TestStageFailures:
         rlz = reletter(find_lettering(inversion_graph(gp.perm), 1), gp)
         with pytest.raises(PipelineError, match="column 1 of the regridded permutation is empty"):
             assign_signs(gp, rlz, reading_orders(rlz, gp))
+
+    def test_opposite_vertical_orders_in_one_row(self, one_cell):
+        gp = GriddedPermutation(P("12"), one_cell, (1, 3), (1, 3))
+        rlz = reletter(Letterization(("a", "b"), frozenset(), ("a", "b"), (1, 2)), gp)
+        a, b = rlz.alphabet
+        ro = ReadingOrders(((a, 1, 1), (b, 1, -1)))
+        with pytest.raises(
+            ReadingOrderConflictError, match="conflicting vertical reading orders in row 1"
+        ):
+            assign_signs(gp, rlz, ro)
+
+    def test_empty_row(self):
+        gp = GriddedPermutation(P("1"), grid_matrix([[1, 1]]), (1, 2), (1, 1, 2))
+        rlz = reletter(find_lettering(inversion_graph(gp.perm), 1), gp)
+        with pytest.raises(PipelineError, match="row 1 of the regridded permutation is empty"):
+            assign_signs(gp, rlz, reading_orders(rlz, gp))
+
+    def test_columns_are_checked_before_rows(self):
+        # Column 1 is empty and row 1 holds opposite vertical orders: the
+        # column is reported.
+        gp = GriddedPermutation(P("12"), grid_matrix([[1], [1]]), (1, 1, 3), (1, 3))
+        rlz = reletter(Letterization(("a", "b"), frozenset(), ("a", "b"), (1, 2)), gp)
+        a, b = rlz.alphabet
+        ro = ReadingOrders(((a, 1, 1), (b, 1, -1)))
+        with pytest.raises(PipelineError, match="column 1 of the regridded permutation is empty"):
+            assign_signs(gp, rlz, ro)
 
 
 class TestContractGridded:
@@ -277,13 +302,24 @@ def reference_reading_orders(rlz, gp):
     return tuple(orders)
 
 
+def reference_hulls(rlz, gp):
+    """Per letter, rescan every entry: the closed position and value ranges
+    of the entries it encodes."""
+    hulls = []
+    for letter in rlz.alphabet:
+        entries = [i for i in range(1, len(gp.perm) + 1) if rlz.letter_of(i) == letter]
+        values = [gp.perm.at(i) for i in entries]
+        hulls.append(((min(entries), max(entries)), (min(values), max(values))))
+    return hulls
+
+
 def reference_regrid(gp, rlz):
     """Cuts outside every hull; each new cell is occupied by scanning all
     entries, and takes the sign of the parent cell holding its corner."""
     col_cuts, row_cuts = set(gp.col_divs), set(gp.row_divs)
-    for hull in hull_rectangles(rlz, gp):
-        col_cuts.update((hull.positions[0], hull.positions[1] + 1))
-        row_cuts.update((hull.values[0], hull.values[1] + 1))
+    for positions, values in reference_hulls(rlz, gp):
+        col_cuts.update((positions[0], positions[1] + 1))
+        row_cuts.update((values[0], values[1] + 1))
     col_divs, row_divs = tuple(sorted(col_cuts)), tuple(sorted(row_cuts))
     n = len(gp.perm)
     columns = []
