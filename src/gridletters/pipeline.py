@@ -10,8 +10,8 @@ orient the resulting columns and rows by the letters' reading orders, and
 realize.  The output matrix is a partial multiplication matrix of size at
 most t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
-Letterings come from a `letters.LetteringCache`, which `class_experiment`
-shares across its whole sweep; `geometrize` accepts one for the same reuse.
+`class_experiment` shares one `letters.LetteringCache` and geometrizes each
+contracted gridding once per sweep; only re-inflation and verification run per row.
 """
 from __future__ import annotations
 
@@ -318,15 +318,13 @@ def geometrize(
     gp0 = find_gridding(pi, m)
     if gp0 is None:
         raise NotGriddableError(f"{pi} has no gridding by the given matrix")
-    return _geometrize_gridding(gp0, k_max, LetteringCache() if cache is None else cache)
+    return _geometrize_gridding(gp0, k_max, LetteringCache() if cache is None else cache, {})
 
 
-def _geometrize_gridding(
-    gp0: GriddedPermutation, k_max: int, cache: LetteringCache
+def _geometrize_contracted(
+    sigma_gp: GriddedPermutation, k_max: int, cache: LetteringCache
 ) -> GeometrizeResult:
-    # Everything in `geometrize` after the gridding search.
-    pi = gp0.perm
-    sigma_gp, groups = contract_gridded(gp0)
+    # The stages that depend on the contracted gridding alone.
     sigma = sigma_gp.perm
     lz = cache.find_lettering(inversion_graph(sigma), k_max)
     if lz is None:
@@ -340,34 +338,51 @@ def _geometrize_gridding(
     sigma_final = GriddedPermutation(
         sigma, signed.matrix, regridded.col_divs, regridded.row_divs
     )
-    # The drawing is read back once: by `realize` when nothing was
-    # contracted, else here.  A failed read-back is a typed failure like the
-    # others.
+    realization = geometry.realize(sigma_final, signed)
+    if realization is None:
+        raise PipelineError("local orders of the regridded permutation are inconsistent")
+    return GeometrizeResult(
+        signed, realization.gridded, realization, sigma, sigma_final, lz, rlz, ro, sigma_gp
+    )
+
+
+def _geometrize_gridding(
+    gp0: GriddedPermutation, k_max: int, cache: LetteringCache, cores: dict
+) -> GeometrizeResult:
+    # Everything in `geometrize` after the gridding search.  `cores` keeps each
+    # contracted gridding's core result or failure (raised afresh per row).  The
+    # drawing is read back once, by `realize` or after re-inflation; a failed
+    # read-back is a typed failure like the others.
+    pi = gp0.perm
+    sigma_gp, groups = contract_gridded(gp0)
+    core = cores.get(sigma_gp)
+    if core is None:
+        try:
+            core = cores[sigma_gp] = _geometrize_contracted(sigma_gp, k_max, cache)
+        except ValueError as exc:
+            core = cores[sigma_gp] = exc
     try:
-        realization = geometry.realize(sigma_final, signed)
-        if realization is None:
-            raise PipelineError("local orders of the regridded permutation are inconsistent")
-        if sigma != pi:
+        if isinstance(core, ValueError):
+            raise type(core)(*core.args) from core
+        realization = core.realization
+        if sigma_gp.perm != pi:
             cells, points = _inflate_points(realization, groups)
-            t, u = signed.matrix.cols, signed.matrix.rows
-            final_gp = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
-            realization = Realization(final_gp, signed, points)
+            t, u = core.signed.matrix.cols, core.signed.matrix.rows
+            final_gp = GriddedPermutation(pi, core.signed.matrix, *divisions_of_cells(cells, t, u))
+            realization = Realization(final_gp, core.signed, points)
             geometry.check_realization(realization)
     except PipelineError:
         raise
     except ValueError as exc:
         raise PipelineError(f"drawing of {pi} does not read back: {exc}") from exc
-    return GeometrizeResult(
-        signed=signed,
-        gridded=realization.gridded,
-        realization=realization,
-        contracted=sigma,
-        contracted_gridded=sigma_final,
-        lettering=lz,
-        refined=rlz,
-        reading=ro,
-        initial_gridding=gp0,
+    return dataclasses.replace(
+        core, gridded=realization.gridded, realization=realization, initial_gridding=gp0
     )
+
+
+def _size_bound(m: GridMatrix, r: int) -> tuple[int, int]:
+    t, u = m.cols, m.rows
+    return t * (1 + 2 * u * r), u * (1 + 2 * t * r)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -408,9 +423,7 @@ class ExperimentReport:
         return all(row.ok for row in self.rows)
 
     def bound(self) -> tuple[int, int]:
-        t, u = self.matrix.cols, self.matrix.rows
-        r = self.letter_cap
-        return t * (1 + 2 * u * r), u * (1 + 2 * t * r)
+        return _size_bound(self.matrix, self.letter_cap)
 
     def to_tsv(self) -> str:
         lines = ["perm\tlettericity\tcols\trows\tbound_ok\tmember_ok\tuniversal_ok\toracle_ok\tnote"]
@@ -447,15 +460,17 @@ def class_experiment(
     never crashes; an n_max past the oracle's length cap with
     verify_with_oracle raises ValueError before the sweep starts.
     The filter's gridding is the one geometrized, so each permutation is
-    gridded once, and one `LetteringCache` serves the lettericity filter and
-    every row, so each isomorphism class of inversion graphs is searched once.
+    gridded once; one `LetteringCache` serves the lettericity filter and every
+    row, so each isomorphism class of inversion graphs is searched once; and
+    each contracted gridding is geometrized once per sweep, from lettering to
+    drawing, so only the re-inflation and the verification tail run per row.
     """
     cap = oracle.GEOM_ORACLE_MAX_LENGTH
     if verify_with_oracle and n_max > cap:
         raise ValueError(f"geometric membership oracle capped at length {cap}")
-    t, u = m.cols, m.rows
-    bound_cols, bound_rows = t * (1 + 2 * u * r), u * (1 + 2 * t * r)
+    bound_cols, bound_rows = _size_bound(m, r)
     cache = LetteringCache()
+    cores: dict[GriddedPermutation, GeometrizeResult | ValueError] = {}
     rows: list[ExperimentRow] = []
     scanned = 0
     skipped_ungriddable = 0
@@ -473,7 +488,7 @@ def class_experiment(
                 skipped_lettericity += 1
                 continue
             try:
-                result = _geometrize_gridding(gp0, r, cache)
+                result = _geometrize_gridding(gp0, r, cache, cores)
             except PipelineError as exc:
                 rows.append(
                     ExperimentRow(pi, lett, 0, 0, False, False, False, None, str(exc))

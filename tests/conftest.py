@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from gridletters.gridding import from_display_rows, grid_matrix  # noqa: E402
+from gridletters.pipeline import class_experiment  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +39,12 @@ def non_pmm_matrix():
 @pytest.fixture(scope="session")
 def one_cell():
     return grid_matrix([[1]])
+
+
+@pytest.fixture(scope="session")
+def x_sweep_7(x_matrix):
+    """The acceptance sweep `class_experiment(7, X, 3, True)` and its
+    wall-clock seconds, run once per session for every test that reads it."""
+    start = time.time()
+    report = class_experiment(7, x_matrix, 3, verify_with_oracle=True)
+    return report, time.time() - start

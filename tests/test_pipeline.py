@@ -554,6 +554,58 @@ class TestClassExperiment:
         assert cli.main(argv) == 1
         assert "geometrize failed" in capsys.readouterr().out
 
+    def test_shared_read_back_failure_names_each_rows_own_perm(self, x_matrix, monkeypatch):
+        # 213, 2134, 2314 and 3214 share one contracted gridding, and 3124
+        # contracts to 213 on another; every drawing of 213 fails to read back.
+        check_realization = geometry.check_realization
+
+        def failing_check(r):
+            if r.gridded.perm == P("213"):
+                raise ValueError("forced read-back failure")
+            check_realization(r)
+
+        monkeypatch.setattr(geometry, "check_realization", failing_check)
+        report = class_experiment(4, x_matrix, 3)
+        failed = {str(row.perm): row.note for row in report.rows if not row.ok}
+        assert failed == {
+            pi: f"drawing of {pi} does not read back: forced read-back failure"
+            for pi in ("2 1 3", "2 1 3 4", "2 3 1 4", "3 1 2 4", "3 2 1 4")
+        }
+
+    def test_kept_core_failures_are_raised_afresh(self, x_matrix, monkeypatch):
+        def conflicting_orders(rlz, gp):
+            raise ReadingOrderConflictError(f"forced conflict in {gp.perm}")
+
+        monkeypatch.setattr(pipeline, "reading_orders", conflicting_orders)
+        cache, cores, raised = LetteringCache(), {}, []
+        for pi in ("213", "2134", "2314"):
+            with pytest.raises(ReadingOrderConflictError, match="forced conflict in 2 1 3$") as exc:
+                pipeline._geometrize_gridding(find_gridding(P(pi), x_matrix), 3, cache, cores)
+            raised.append(exc.value)
+        assert len(cores) == 1
+        assert len({id(exc) for exc in raised + list(cores.values())}) == 4
+
+    def test_one_core_per_contracted_gridding(self, x_matrix, monkeypatch):
+        # Lettering, relettering and the drawing depend on the contracted
+        # gridding alone, so the n = 6 sweep runs each once per distinct one.
+        calls = {"find_lettering": 0, "reletter": 0, "realize": 0}
+
+        def counting(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        lettering = LetteringCache.find_lettering
+        monkeypatch.setattr(LetteringCache, "find_lettering", counting("find_lettering", lettering))
+        monkeypatch.setattr(pipeline, "reletter", counting("reletter", reletter))
+        monkeypatch.setattr(geometry, "realize", counting("realize", geometry.realize))
+        report = class_experiment(6, x_matrix, 3)
+        contracted = {contract_gridded(find_gridding(row.perm, x_matrix))[0] for row in report.rows}
+        assert (len(report.rows), len(contracted)) == (457, 128)
+        assert calls == {"find_lettering": 128, "reletter": 128, "realize": 128}
+
     def test_one_gridding_search_per_permutation(self, x_matrix, monkeypatch):
         calls = []
 
