@@ -16,18 +16,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import heapq
+import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .gridding import (
     GriddedPermutation,
     GridMatrix,
     SignedMatrix,
+    _division_pairs,
     divisions_of_cells,
     double,
-    iter_griddings,
     pmm_signs,
     universal_matrix,
 )
@@ -79,52 +79,56 @@ class LocalOrders:
 def local_orders(gp: GriddedPermutation, signs: SignedMatrix) -> LocalOrders:
     if gp.matrix != signs.matrix:
         raise ValueError("gridding and signs are over different matrices")
+    position = [0] + [gp.perm.position_of(v) for v in range(1, len(gp.perm) + 1)]
+    cols, rows = _chains(position, gp.col_divs, gp.row_divs, signs)
+    return LocalOrders(len(gp.perm), tuple(map(tuple, cols)), tuple(map(tuple, rows)))
+
+
+def _chains(position, col_divs, row_divs, signs: SignedMatrix) -> tuple[list, list]:
     # Column k holds the positions [x_k, x_{k+1}) and row l the values
-    # [y_l, y_{l+1}), so each chain is a slice, read backwards for sign -1.
-    position = [0] * (len(gp.perm) + 1)
-    for i, v in enumerate(gp.perm.values, start=1):
-        position[v] = i
-    divs = gp.col_divs
-    cols = tuple(
-        tuple(range(lo, hi)) if s == 1 else tuple(range(hi - 1, lo - 1, -1))
-        for lo, hi, s in zip(divs, divs[1:], signs.col_signs)
-    )
-    divs = gp.row_divs
-    rows = tuple(
-        tuple(position[lo:hi]) if s == 1 else tuple(position[hi - 1 : lo - 1 : -1])
-        for lo, hi, s in zip(divs, divs[1:], signs.row_signs)
-    )
-    return LocalOrders(len(gp.perm), cols, rows)
+    # [y_l, y_{l+1}): a range or a slice of position, reversed for sign -1.
+    cols = [
+        range(lo, hi) if s == 1 else range(hi - 1, lo - 1, -1)
+        for lo, hi, s in zip(col_divs, col_divs[1:], signs.col_signs)
+    ]
+    rows = [
+        position[lo:hi] if s == 1 else position[hi - 1 : lo - 1 : -1]
+        for lo, hi, s in zip(row_divs, row_divs[1:], signs.row_signs)
+    ]
+    return cols, rows
 
 
 def consistency(lo: LocalOrders) -> Optional[tuple[int, ...]]:
     """A linear extension psi of the union of the local orders, or None.
 
     psi[i-1] is the rank of index i; smallest available index first, so the
-    extension is deterministic.
+    extension is deterministic.  `geom_witness` runs the same kernel on the
+    chains of each division pair it tests.
     """
-    succ: dict[int, set[int]] = defaultdict(set)
-    indeg = [0] * (lo.n + 1)
-    for chain in lo.chains():
-        for a, b in zip(chain, chain[1:]):
-            if b not in succ[a]:
-                succ[a].add(b)
-                indeg[b] += 1
-    heap = [i for i in range(1, lo.n + 1) if indeg[i] == 0]
-    heapq.heapify(heap)
-    psi = [0] * lo.n
+    return _extension(lo.n, lo.chains())
+
+
+def _extension(n: int, chains: Iterable[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    # Successor lists and in-degrees; an edge in a column and a row chain is
+    # counted and released twice, which leaves psi as if it were there once.
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    indeg = [0] * (n + 1)
+    for chain in chains:
+        for a, b in itertools.pairwise(chain):
+            succ[a].append(b)
+            indeg[b] += 1
+    heap = [i for i in range(1, n + 1) if not indeg[i]]  # ascending, so a heap
+    psi = [0] * n
     rank = 0
     while heap:
         i = heapq.heappop(heap)
         rank += 1
         psi[i - 1] = rank
-        for b in sorted(succ[i]):
+        for b in succ[i]:
             indeg[b] -= 1
-            if indeg[b] == 0:
+            if not indeg[b]:
                 heapq.heappush(heap, b)
-    if rank < lo.n:
-        return None
-    return tuple(psi)
+    return tuple(psi) if rank == n else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,8 +171,10 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
     divides n + 1).
     """
     psi = consistency(local_orders(gp, signs))
-    if psi is None:
-        return None
+    return None if psi is None else _draw(gp, signs, psi)
+
+
+def _draw(gp: GriddedPermutation, signs: SignedMatrix, psi: Sequence[int]) -> Realization:
     d = len(gp.perm) + 1
     points = tuple(
         _point_on_cell(cell, gp.matrix.entries[cell[0] - 1][cell[1] - 1], signs, p, d)
@@ -294,7 +300,9 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     """A drawing of pi on the standard figure of the partial multiplication
     form of m (doubling when m admits no signs), or None iff pi is not in
     Geom(m): the first gridding in lexicographic order whose local orders
-    are consistent, drawn with `pmm_signs`.
+    are consistent, drawn with `pmm_signs`.  The `consistency` kernel tests
+    the chains read off each division pair; only the first consistent pair
+    is built into a gridding, drawn with the psi the kernel found.
 
     One sign vector suffices.  Each entry's column and row lie in one
     connected component of the nonzero pattern, so the local orders split
@@ -303,10 +311,12 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     """
     work = m if pmm_signs(m) is not None else double(m)
     signs = pmm_signs(work)
-    for gp in iter_griddings(pi, work):
-        r = realize(gp, signs)
-        if r is not None:
-            return r
+    position = [0] + [pi.position_of(v) for v in range(1, len(pi) + 1)]
+    for cdivs, rdivs in _division_pairs(pi, work):
+        cols, rows = _chains(position, cdivs, rdivs, signs)
+        psi = _extension(len(pi), cols + rows)
+        if psi is not None:
+            return _draw(GriddedPermutation(pi, work, cdivs, rdivs), signs, psi)
     return None
 
 

@@ -11,7 +11,7 @@ the entries with positions in [x_k, x_{k+1}) and values in [y_l, y_{l+1})
 must be increasing, decreasing, or absent as the matrix entry dictates.
 
 Griddings are searched in lexicographic order, with row cuts bounded by how
-far up the values each row can reach (see `iter_griddings`).
+far up the values each row can reach (see `_division_pairs`).
 """
 from __future__ import annotations
 
@@ -243,8 +243,8 @@ def _row_divisions(
     return cuts(1, 1)
 
 
-def iter_griddings(pi: Permutation, m: GridMatrix) -> Iterator[GriddedPermutation]:
-    """All valid griddings, lazily, in lexicographic (col_divs, row_divs) order.
+def _division_pairs(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The (col_divs, row_divs) of every valid gridding, lexicographically.
 
     Column division tuples are enumerated; each fixes every entry's column,
     and the row cuts are then chosen by a depth-first search in increasing
@@ -259,7 +259,15 @@ def iter_griddings(pi: Permutation, m: GridMatrix) -> Iterator[GriddedPermutatio
     for cdivs in _division_tuples(len(pi), m.cols):
         column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
         for rdivs in _row_divisions(m, position, column):
-            yield GriddedPermutation(pi, m, cdivs, rdivs)
+            yield cdivs, rdivs
+
+
+def iter_griddings(pi: Permutation, m: GridMatrix) -> Iterator[GriddedPermutation]:
+    """All valid griddings, lazily, in lexicographic (col_divs, row_divs) order:
+    the pairs of `_division_pairs`, each built and validated.  `geom_witness`
+    tests the pairs themselves and builds a gridding only for its witness."""
+    for cdivs, rdivs in _division_pairs(pi, m):
+        yield GriddedPermutation(pi, m, cdivs, rdivs)
 
 
 def find_gridding(pi: Permutation, m: GridMatrix) -> Optional[GriddedPermutation]:

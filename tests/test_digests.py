@@ -11,7 +11,15 @@ order is part of their contract, so it does not depend on PYTHONHASHSEED
 - every `geometrize` result, or its error type and message, for every
   permutation of length <= 6 on X (r = 3), V and FAN (r = 4);
 - `(col_divs, row_divs)` of every gridding, in `iter_griddings` order, of
-  every permutation of length <= 6 on X, V and FAN.
+  every permutation of length <= 6 on X, V and FAN;
+- the repr of `geom_witness(pi, m)` for every permutation of length <= 6 on
+  X, V, FAN and the non-partial-multiplication matrix (1 -1 / 1 1), for 20
+  fixed-seed permutations of length 12 on `universal_matrix(2, 2)`, and for
+  the two non-members of length 12 and 13 that `gridding_ladder` queries,
+  which have griddings but no consistent one, so the search walks them all;
+- `find_lettering(g, order)` and `lettericity(g)` for every labelled graph
+  of order 1 to 5, and `find_lettering(g, 3)` for the ladder-scale graphs of
+  tests/test_letters.py.
 
 A change that moves no output keeps every digest.  A change that moves an
 output on purpose re-records the digest it moves: run
@@ -24,21 +32,32 @@ CHANGES.md, naming the digest and the change that moved it.
 import dataclasses
 import hashlib
 import itertools
+import random
 
-from gridletters.gridding import from_display_rows, iter_griddings
-from gridletters.letters import LetteringCache
+from gridletters.geometry import geom_witness
+from gridletters.gridding import from_display_rows, iter_griddings, universal_matrix
+from gridletters.letters import LetteringCache, find_lettering, lettericity
 from gridletters.perm import Permutation
 from gridletters.pipeline import PipelineError, class_experiment, geometrize
+from test_letters import ladder_scale_graphs, small_graphs
 
 X = from_display_rows([(-1, 1), (1, -1)])
 V = from_display_rows([(-1,), (1,)])
 FAN = from_display_rows([(-1, 1, 1), (0, -1, -1)])
+NON_PMM = from_display_rows([(1, -1), (1, 1)])
+# The gridding_ladder non-members on universal_matrix(2, 2).
+LADDER_NON_MEMBERS = (
+    (8, 1, 10, 4, 2, 9, 11, 5, 7, 12, 3, 6),
+    (10, 1, 3, 13, 2, 5, 12, 6, 4, 8, 7, 9, 11),
+)
 
 DIGESTS = {
     "class_experiment_7_X_3": "85476da6f9f6de898c5e89e913d513597d5461eba2020edbd9a7e013ec67ee78",
     "class_experiment_6_V_FAN_4": "ecb1941a9b1fee97969f0b99822a86adc400186a823d54bafe37d83f179bb7e6",
     "geometrize_upto_6": "7dd298f0fe1e922c445e27eecfe5650c5b576a22bdb1815e78c601523a5afec3",
     "griddings_upto_6": "4c77e8004bdca067549d5b6052fd94270c90d9fa19712b799bd0054a9b529cbe",
+    "geom_witness": "70375afdb1eba6849ea7a7ba9066f0adc915ba63c32e79bb5ebfaf8d035520ec",
+    "letterings": "8cb88430366aaa73d5a2c3d1f17c67dc1a03771012df4a41f179230d32e759a9",
 }
 
 
@@ -92,6 +111,31 @@ def griddings_text():
     return "\n".join(lines)
 
 
+def witness_text():
+    queries = [(pi, m) for m in (X, V, FAN, NON_PMM) for pi in perms_upto(6)]
+    u = universal_matrix(2, 2)
+    rng = random.Random(2013)
+    queries += [(Permutation(tuple(rng.sample(range(1, 13), 12))), u) for _ in range(20)]
+    queries += [(Permutation(values), u) for values in LADDER_NON_MEMBERS]
+    return "\n".join(f"{pi} {geom_witness(pi, m)!r}" for pi, m in queries)
+
+
+def lettering_key(lz):
+    if lz is None:
+        return None
+    return lz.alphabet, tuple(sorted(lz.decoder)), lz.word, lz.iso
+
+
+def letterings_text():
+    lines = []
+    for g in (g for n in range(1, 6) for g in small_graphs(n)):
+        lz = lettering_key(find_lettering(g, g.order))
+        lines.append(f"{g.order} {sorted(g.edges)} {lz} {lettericity(g)}")
+    for g in ladder_scale_graphs():
+        lines.append(f"{g.order} {sorted(g.edges)} {lettering_key(find_lettering(g, 3))}")
+    return "\n".join(lines)
+
+
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -113,8 +157,18 @@ def test_griddings_digest():
     assert digest(griddings_text()) == DIGESTS["griddings_upto_6"]
 
 
+def test_geom_witness_digest():
+    assert digest(witness_text()) == DIGESTS["geom_witness"]
+
+
+def test_letterings_digest():
+    assert digest(letterings_text()) == DIGESTS["letterings"]
+
+
 if __name__ == "__main__":
     print("class_experiment_7_X_3", digest(report_text(class_experiment(7, X, 3, True))))
     print("class_experiment_6_V_FAN_4", digest(v_fan_reports_text()))
     print("geometrize_upto_6", digest(geometrize_text()))
     print("griddings_upto_6", digest(griddings_text()))
+    print("geom_witness", digest(witness_text()))
+    print("letterings", digest(letterings_text()))

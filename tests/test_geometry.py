@@ -35,6 +35,7 @@ from gridletters.gridding import (
     iter_griddings,
     iter_sign_vectors,
     pmm_signs,
+    universal_matrix,
 )
 from gridletters.letters import LetteringCache
 from gridletters.perm import Permutation, contains, inversion_graph, parse_permutation
@@ -320,6 +321,37 @@ class TestGeomMember:
                     else:
                         assert (r.gridded, r.signs) == first, pi
                         check_realization(r)
+
+    def test_witness_search_validates_only_the_witness(
+        self, monkeypatch, x_matrix, fan_matrix, non_pmm_matrix
+    ):
+        # The search tests division pairs and builds a gridding only for the
+        # pair it returns.  The non-member has griddings but no consistent
+        # one, so the search walks every pair without building any.
+        u = universal_matrix(2, 2)
+        non_member = Permutation((8, 1, 10, 4, 2, 9, 11, 5, 7, 12, 3, 6))
+        assert len(all_griddings(non_member, u)) == 1604
+        queries = [
+            (P("524361"), x_matrix, True),
+            (P("6437251"), fan_matrix, True),
+            (P("2143"), non_pmm_matrix, True),
+            (Permutation((4, 10, 11, 5, 9, 12, 7, 6, 1, 3, 2, 8)), u, True),
+            (P("3142"), x_matrix, False),
+            (non_member, u, False),
+        ]
+        built = []
+        validate = GriddedPermutation.__post_init__
+
+        def counting(gp):
+            built.append(gp)
+            validate(gp)
+
+        monkeypatch.setattr(GriddedPermutation, "__post_init__", counting)
+        for pi, m, member in queries:
+            built.clear()
+            r = geom_witness(pi, m)
+            assert (r is not None) == member, pi
+            assert built == ([r.gridded] if member else []), pi
 
     def test_consistency_does_not_depend_on_the_sign_vector(
         self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix
