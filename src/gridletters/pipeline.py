@@ -18,8 +18,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import itertools
-import math
-from fractions import Fraction
 from typing import Optional
 
 from . import geometry, letters, oracle
@@ -242,47 +240,31 @@ def _inflate_points(
     contracted: Realization,
     groups: tuple[tuple[int, int], ...],
 ) -> tuple[tuple[Cell, ...], tuple[Point, ...]]:
-    """Undo the contraction inside a realization.
+    """Undo the contraction inside a drawing from `geometry.realize`.
 
     Each contracted entry's point becomes a short monotone run along its
-    cell's diagonal, inside a radius below half the smallest coordinate gap,
-    so all reading orders outside the run are untouched.
-
-    The gap is the least distance from a point to its cell's boundary or
-    between two distinct x (or y) coordinates.  The least nonzero difference
-    within a set of numbers is always between two neighbours in sorted
-    order, so the sorted coordinates give it in O(n log n).  All of it runs
-    on integer numerators over d, the common denominator of the points
-    (n + 1 for a drawing from `realize`), and each new coordinate is one
-    Fraction.
+    cell's diagonal, close enough that every reading order outside the run
+    is untouched.  `realize` puts entry i at offset psi(i)/d from its cell's
+    base point, d = n + 1, with psi a bijection onto 1..n, so every
+    coordinate is an integer over d, distinct coordinates differ by at least
+    1/d, and every point lies at least 1/d inside its cell (the entry with
+    psi(i) = 1 exactly 1/d).  The q-th point of a run of length L goes to
+    offset (4Lp + c(2q - L - 1))/(4Ld), with p = psi(i) and c the column
+    sign: less than 1/(4d) from the entry's point, under half the least gap.
+    A one-entry group keeps its point.
     """
-    points, cells = contracted.points, contracted.gridded.cells
-    if all(a == b for a, b in groups):
-        return cells, points
-    d = math.lcm(*(c.denominator for point in points for c in point))
-    xs = [x.numerator * (d // x.denominator) for x, _ in points]
-    ys = [y.numerator * (d // y.denominator) for _, y in points]
-    margins = []
-    for x, y, (k, l) in zip(xs, ys, cells):
-        margins.extend((x - (k - 1) * d, k * d - x, y - (l - 1) * d, l * d - y))
-    for coords in (xs, ys):
-        line = sorted(set(coords))
-        margins.extend(b - a for a, b in zip(line, line[1:]))
-    gap = min(margins)
+    gp, signs = contracted.gridded, contracted.signs
+    d = len(gp.perm) + 1
     new_cells: list[Cell] = []
     new_points: list[Point] = []
-    for x, y, cell, (a, b) in zip(xs, ys, cells, groups):
+    for i, (cell, (a, b)) in enumerate(zip(gp.cells, groups), start=1):
         length = b - a + 1
-        sign = contracted.gridded.matrix.entries[cell[0] - 1][cell[1] - 1]
-        # Over the denominator 4 * length * d, the q-th point moves by
-        # dx = (2q - length - 1) * gap along the diagonal.
-        den = 4 * length * d
-        x4, y4 = x * 4 * length, y * 4 * length
+        sign = gp.matrix.entries[cell[0] - 1][cell[1] - 1]
+        p, c = int(contracted.offset(i) * d), signs.col_signs[cell[0] - 1]
         for q in range(1, length + 1):
-            dx = (2 * q - length - 1) * gap
+            offset = 4 * length * p + c * (2 * q - length - 1)
             new_cells.append(cell)
-            y_new = y4 + dx if sign == 1 else y4 - dx
-            new_points.append((Fraction(x4 + dx, den), Fraction(y_new, den)))
+            new_points.append(geometry._point_on_cell(cell, sign, signs, offset, 4 * length * d))
     return tuple(new_cells), tuple(new_points)
 
 
@@ -313,8 +295,11 @@ def geometrize(
 
     Raises NotGriddableError when pi has no m-gridding and
     LetteringNotFoundError when the contracted inversion graph admits no
-    lettering within k_max letters.
+    lettering within k_max letters; a k_max below 1 is an input error, a
+    plain ValueError raised before the gridding search.
     """
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
     gp0 = find_gridding(pi, m)
     if gp0 is None:
         raise NotGriddableError(f"{pi} has no gridding by the given matrix")

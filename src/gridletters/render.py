@@ -21,7 +21,6 @@ TARGETS = ("figure", "drawing", "gridding", "hasse")
 class RenderSpec:
     target: str
     scale: int = 80
-    labels: bool = True
 
     def __post_init__(self):
         if self.target not in TARGETS:
@@ -135,11 +134,8 @@ def render_drawing(r: Realization, spec: RenderSpec) -> str:
     for i, (x, y) in enumerate(r.points, start=1):
         cx, cy = canvas.xy(x, y)
         out.append(_circle(cx, cy, spec.scale * 0.05))
-        if spec.labels:
-            out.append(
-                _text(cx + spec.scale * 0.08, cy - spec.scale * 0.08,
-                      str(r.gridded.perm.at(i)), spec.scale * 0.2)
-            )
+        out.append(_text(cx + spec.scale * 0.08, cy - spec.scale * 0.08,
+                         str(r.gridded.perm.at(i)), spec.scale * 0.2))
     return _svg(canvas.width, canvas.height, out)
 
 
@@ -157,9 +153,8 @@ def render_gridding(gp: GriddedPermutation, spec: RenderSpec) -> str:
     for i in range(1, n + 1):
         cx, cy = canvas.xy(i, gp.perm.at(i))
         out.append(_circle(cx, cy, spec.scale * 0.08))
-        if spec.labels:
-            out.append(_text(cx + spec.scale * 0.1, cy - spec.scale * 0.1,
-                             str(gp.perm.at(i)), spec.scale * 0.25))
+        out.append(_text(cx + spec.scale * 0.1, cy - spec.scale * 0.1,
+                         str(gp.perm.at(i)), spec.scale * 0.25))
     return _svg(canvas.width, canvas.height, out)
 
 
@@ -203,9 +198,7 @@ def render_hasse(lo: LocalOrders, spec: RenderSpec) -> str:
     for v in sorted(pos):
         cx, cy = canvas.xy(*pos[v])
         out.append(_circle(cx, cy, spec.scale * 0.07))
-        if spec.labels:
-            out.append(_text(cx + spec.scale * 0.1, cy - spec.scale * 0.1,
-                             str(v), spec.scale * 0.25))
+        out.append(_text(cx + spec.scale * 0.1, cy - spec.scale * 0.1, str(v), spec.scale * 0.25))
     return _svg(canvas.width, canvas.height, out)
 
 

@@ -145,6 +145,12 @@ class TestGeometrize:
         assert main(["geometrize", "--perm", "214365", "--matrix", x_file, "--k-max", "3"]) == 1
         assert "failed" in capsys.readouterr().out
 
+    def test_letter_budget_below_one_is_an_input_error(self, x_file, capsys):
+        assert main(["geometrize", "--perm", "3142", "--matrix", x_file, "--k-max", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "k_max >= 1" in err
+
     def test_bad_scale_before_any_work(self, x_file, capsys):
         argv = ["geometrize", "--perm", "3142", "--matrix", x_file, "--k-max", "2"]
         assert main([*argv, "--scale", "0"]) == 2

@@ -404,6 +404,16 @@ class TestGeometrize:
         with pytest.raises(LetteringNotFoundError):
             geometrize(P("3142"), x_matrix, 1)
 
+    def test_letter_budget_below_one_is_an_input_error(self, x_matrix, monkeypatch):
+        def no_search(pi, m):
+            raise AssertionError("gridding searched")
+
+        monkeypatch.setattr(pipeline, "find_gridding", no_search)
+        for pi, k_max in (("3142", 0), ("214365", 0), ("1", -1)):
+            with pytest.raises(ValueError, match="k_max >= 1") as exc:
+                geometrize(P(pi), x_matrix, k_max)
+            assert not isinstance(exc.value, PipelineError)
+
     def test_output_consistent_and_rereads(self, x_matrix):
         for pi in skew_merged_upto(5, x_matrix):
             result = geometrize(pi, x_matrix, 3)

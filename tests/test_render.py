@@ -49,11 +49,7 @@ class TestDrawing:
         structural_check(svg)
         assert svg.count("<circle") == 7
         assert svg.count("<path") == 5  # one arrowhead per column and row
-        assert ">7</text>" in svg  # value labels on
-
-    def test_labels_off(self, fan_realization):
-        svg = render(RenderSpec("drawing", labels=False), fan_realization)
-        assert "<text" not in svg
+        assert ">7</text>" in svg  # value labels
 
 
 class TestGridding:
