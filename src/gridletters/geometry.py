@@ -144,11 +144,6 @@ class Realization:
     signs: SignedMatrix
     points: tuple[Point, ...]
 
-    def offset(self, i: int) -> Fraction:
-        k, l = self.gridded.cell_of(i)
-        bx, _ = base_point((k, l), self.signs)
-        return abs(self.points[i - 1][0] - bx)
-
 
 def _point_on_cell(
     cell: Cell, sign: int, signs: SignedMatrix, p: Union[int, Fraction], d: int = 1

@@ -6,19 +6,20 @@ suffices, and each run's direction equals its cell's sign, which is what
 makes the final re-inflation possible), letter the inversion graph of the
 contracted permutation, refine the alphabet so each letter occupies one
 cell, slice the gridding just outside each letter's rectangular hull,
-orient the resulting columns and rows by the letters' reading orders, and
-realize.  The output matrix is a partial multiplication matrix of size at
-most t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
+orient the resulting columns and rows by the letters' reading orders,
+extend their local orders to a linear order psi, and draw pi from psi.
+The output matrix is a partial multiplication matrix of size at most
+t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
-`class_experiment` shares one `letters.LetteringCache` and geometrizes each
-contracted gridding once per sweep; only re-inflation and verification run per row.
+`class_experiment` shares one `letters.LetteringCache` and runs the stages up
+to psi once per contracted gridding; each row only draws pi and reads it back.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import geometry, letters, oracle
 from .geometry import Cell, Point, Realization
@@ -237,30 +238,31 @@ def contract_gridded(
 
 
 def _inflate_points(
-    contracted: Realization,
+    sigma_final: GriddedPermutation,
+    signs: SignedMatrix,
+    psi: Sequence[int],
     groups: tuple[tuple[int, int], ...],
 ) -> tuple[tuple[Cell, ...], tuple[Point, ...]]:
-    """Undo the contraction inside a drawing from `geometry.realize`.
+    """Draw the uncontracted permutation from the contracted gridding and psi.
 
-    Each contracted entry's point becomes a short monotone run along its
-    cell's diagonal, close enough that every reading order outside the run
-    is untouched.  `realize` puts entry i at offset psi(i)/d from its cell's
-    base point, d = n + 1, with psi a bijection onto 1..n, so every
-    coordinate is an integer over d, distinct coordinates differ by at least
-    1/d, and every point lies at least 1/d inside its cell (the entry with
-    psi(i) = 1 exactly 1/d).  The q-th point of a run of length L goes to
-    offset (4Lp + c(2q - L - 1))/(4Ld), with p = psi(i) and c the column
-    sign: less than 1/(4d) from the entry's point, under half the least gap.
-    A one-entry group keeps its point.
+    Each contracted entry i becomes a short monotone run along its cell's
+    diagonal, close enough to the point `geometry.realize` would draw for i
+    that every reading order outside the run is untouched.  That point lies
+    at offset p/d from the cell's base point, with p = psi(i) and d = n + 1,
+    psi a bijection onto 1..n; so every coordinate is an integer over d,
+    distinct coordinates differ by at least 1/d, and every point lies at
+    least 1/d inside its cell.  The q-th point of a run of length L goes to
+    offset (4Lp + c(2q - L - 1))/(4Ld), with c the column sign: less than
+    1/(4d) from the entry's point, under half the least gap.  A one-entry
+    group gets 4p/4d = p/d, exactly the point `realize` draws.
     """
-    gp, signs = contracted.gridded, contracted.signs
-    d = len(gp.perm) + 1
+    d = len(sigma_final.perm) + 1
+    entries, col_signs = signs.matrix.entries, signs.col_signs
     new_cells: list[Cell] = []
     new_points: list[Point] = []
-    for i, (cell, (a, b)) in enumerate(zip(gp.cells, groups), start=1):
+    for cell, p, (a, b) in zip(sigma_final.cells, psi, groups):
         length = b - a + 1
-        sign = gp.matrix.entries[cell[0] - 1][cell[1] - 1]
-        p, c = int(contracted.offset(i) * d), signs.col_signs[cell[0] - 1]
+        sign, c = entries[cell[0] - 1][cell[1] - 1], col_signs[cell[0] - 1]
         for q in range(1, length + 1):
             offset = 4 * length * p + c * (2 * q - length - 1)
             new_cells.append(cell)
@@ -293,10 +295,11 @@ def geometrize(
     The lettering comes from `cache` (a fresh one when omitted); the answer
     is the same either way, a shared cache only saves repeated searches.
 
-    Raises NotGriddableError when pi has no m-gridding and
-    LetteringNotFoundError when the contracted inversion graph admits no
-    lettering within k_max letters; a k_max below 1 is an input error, a
-    plain ValueError raised before the gridding search.
+    Raises NotGriddableError when pi has no m-gridding, LetteringNotFoundError
+    when the contracted inversion graph admits no lettering within k_max
+    letters, and another PipelineError when a later stage fails or the drawing
+    does not read back.  A k_max below 1 is a plain ValueError raised before
+    the gridding search; any other plain ValueError is a defect.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
@@ -306,10 +309,8 @@ def geometrize(
     return _geometrize_gridding(gp0, k_max, LetteringCache() if cache is None else cache, {})
 
 
-def _geometrize_contracted(
-    sigma_gp: GriddedPermutation, k_max: int, cache: LetteringCache
-) -> GeometrizeResult:
-    # The stages that depend on the contracted gridding alone.
+def _geometrize_contracted(sigma_gp: GriddedPermutation, k_max: int, cache: LetteringCache):
+    # The stages that depend on the contracted gridding alone, up to psi.
     sigma = sigma_gp.perm
     lz = cache.find_lettering(inversion_graph(sigma), k_max)
     if lz is None:
@@ -320,48 +321,40 @@ def _geometrize_contracted(
     ro = reading_orders(rlz, sigma_gp)
     regridded = regrid(sigma_gp, rlz)
     signed = assign_signs(regridded, rlz, ro)
-    sigma_final = GriddedPermutation(
-        sigma, signed.matrix, regridded.col_divs, regridded.row_divs
-    )
-    realization = geometry.realize(sigma_final, signed)
-    if realization is None:
+    sigma_final = GriddedPermutation(sigma, signed.matrix, regridded.col_divs, regridded.row_divs)
+    psi = geometry.consistency(geometry.local_orders(sigma_final, signed))
+    if psi is None:
         raise PipelineError("local orders of the regridded permutation are inconsistent")
-    return GeometrizeResult(
-        signed, realization.gridded, realization, sigma, sigma_final, lz, rlz, ro, sigma_gp
-    )
+    return sigma_final, signed, psi, lz, rlz, ro
 
 
 def _geometrize_gridding(
     gp0: GriddedPermutation, k_max: int, cache: LetteringCache, cores: dict
 ) -> GeometrizeResult:
     # Everything in `geometrize` after the gridding search.  `cores` keeps each
-    # contracted gridding's core result or failure (raised afresh per row).  The
-    # drawing is read back once, by `realize` or after re-inflation; a failed
-    # read-back is a typed failure like the others.
+    # contracted gridding's core or PipelineError (raised afresh per row); each
+    # row draws pi once, and a failed read-back is a PipelineError too.
     pi = gp0.perm
     sigma_gp, groups = contract_gridded(gp0)
     core = cores.get(sigma_gp)
     if core is None:
         try:
             core = cores[sigma_gp] = _geometrize_contracted(sigma_gp, k_max, cache)
-        except ValueError as exc:
+        except PipelineError as exc:
             core = cores[sigma_gp] = exc
+    if isinstance(core, PipelineError):
+        raise type(core)(*core.args) from core
+    sigma_final, signed, psi, lz, rlz, ro = core
+    cells, points = _inflate_points(sigma_final, signed, psi, groups)
+    t, u = signed.matrix.cols, signed.matrix.rows
+    gridded = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
+    realization = Realization(gridded, signed, points)
     try:
-        if isinstance(core, ValueError):
-            raise type(core)(*core.args) from core
-        realization = core.realization
-        if sigma_gp.perm != pi:
-            cells, points = _inflate_points(realization, groups)
-            t, u = core.signed.matrix.cols, core.signed.matrix.rows
-            final_gp = GriddedPermutation(pi, core.signed.matrix, *divisions_of_cells(cells, t, u))
-            realization = Realization(final_gp, core.signed, points)
-            geometry.check_realization(realization)
-    except PipelineError:
-        raise
+        geometry.check_realization(realization)
     except ValueError as exc:
         raise PipelineError(f"drawing of {pi} does not read back: {exc}") from exc
-    return dataclasses.replace(
-        core, gridded=realization.gridded, realization=realization, initial_gridding=gp0
+    return GeometrizeResult(
+        signed, gridded, realization, sigma_final.perm, sigma_final, lz, rlz, ro, gp0
     )
 
 
@@ -441,21 +434,21 @@ def class_experiment(
     inversion graph has lettericity at most r, verifying the size bound,
     membership in the output matrix (the read-back `geometrize` makes before
     it returns, so a returned result is a member), and membership in the
-    universal matrix of the bound dimensions.  Failures become report rows,
-    never crashes; an n_max past the oracle's length cap with
-    verify_with_oracle raises ValueError before the sweep starts.
+    universal matrix of the bound dimensions.  Each PipelineError becomes a
+    report row and other exceptions propagate; an n_max past the oracle's
+    length cap with verify_with_oracle raises ValueError before the sweep starts.
     The filter's gridding is the one geometrized, so each permutation is
     gridded once; one `LetteringCache` serves the lettericity filter and every
     row, so each isomorphism class of inversion graphs is searched once; and
-    each contracted gridding is geometrized once per sweep, from lettering to
-    drawing, so only the re-inflation and the verification tail run per row.
+    each contracted gridding runs the stages from lettering to psi once per
+    sweep, so only the drawing of pi and the verification tail run per row.
     """
     cap = oracle.GEOM_ORACLE_MAX_LENGTH
     if verify_with_oracle and n_max > cap:
         raise ValueError(f"geometric membership oracle capped at length {cap}")
     bound_cols, bound_rows = _size_bound(m, r)
     cache = LetteringCache()
-    cores: dict[GriddedPermutation, GeometrizeResult | ValueError] = {}
+    cores: dict[GriddedPermutation, tuple | PipelineError] = {}
     rows: list[ExperimentRow] = []
     scanned = 0
     skipped_ungriddable = 0
@@ -517,7 +510,7 @@ def _universal_ok(result: GeometrizeResult, t: int, u: int) -> bool:
     try:
         gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
         points = tuple(
-            (x + K - k, y + L - l)
+            (x + (K - k), y + (L - l))
             for (x, y), (k, l), (K, L) in zip(real.points, real.gridded.cells, gp_s.cells)
         )
         geometry.check_realization(Realization(gp_s, signs_s, points))

@@ -134,7 +134,6 @@ class TestRealize:
         gp = GriddedPermutation(P("1"), one_cell, (1, 2), (1, 2))
         r = realize(gp, pmm_signs(one_cell))
         assert r.points == ((Fraction(1, 2), Fraction(1, 2)),)
-        assert r.offset(1) == Fraction(1, 2)
 
     def test_inconsistent_gives_none(self, x_matrix):
         gp = all_griddings(P("3142"), x_matrix)[0]

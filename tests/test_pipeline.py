@@ -414,6 +414,17 @@ class TestGeometrize:
                 geometrize(P(pi), x_matrix, k_max)
             assert not isinstance(exc.value, PipelineError)
 
+    def test_plain_value_error_from_a_core_stage_propagates(self, x_matrix, monkeypatch):
+        # A plain ValueError inside the construction is a defect, not a
+        # failed read-back.
+        def broken_regrid(gp, rlz):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(pipeline, "regrid", broken_regrid)
+        with pytest.raises(ValueError, match="^boom$") as exc:
+            geometrize(P("213"), x_matrix, 3)
+        assert not isinstance(exc.value, PipelineError)
+
     def test_output_consistent_and_rereads(self, x_matrix):
         for pi in skew_merged_upto(5, x_matrix):
             result = geometrize(pi, x_matrix, 3)
@@ -566,11 +577,12 @@ class TestClassExperiment:
 
     def test_shared_read_back_failure_names_each_rows_own_perm(self, x_matrix, monkeypatch):
         # 213, 2134, 2314 and 3214 share one contracted gridding, and 3124
-        # contracts to 213 on another; every drawing of 213 fails to read back.
+        # contracts to 213 on another; only the drawings of 2134 and 3124 fail
+        # to read back, and each row reads back its own drawing.
         check_realization = geometry.check_realization
 
         def failing_check(r):
-            if r.gridded.perm == P("213"):
+            if r.gridded.perm in (P("2134"), P("3124")):
                 raise ValueError("forced read-back failure")
             check_realization(r)
 
@@ -579,8 +591,10 @@ class TestClassExperiment:
         failed = {str(row.perm): row.note for row in report.rows if not row.ok}
         assert failed == {
             pi: f"drawing of {pi} does not read back: forced read-back failure"
-            for pi in ("2 1 3", "2 1 3 4", "2 3 1 4", "3 1 2 4", "3 2 1 4")
+            for pi in ("2 1 3 4", "3 1 2 4")
         }
+        ok = {str(row.perm) for row in report.rows if row.ok}
+        assert {"2 1 3", "2 3 1 4", "3 2 1 4"} <= ok
 
     def test_kept_core_failures_are_raised_afresh(self, x_matrix, monkeypatch):
         def conflicting_orders(rlz, gp):
@@ -596,9 +610,12 @@ class TestClassExperiment:
         assert len({id(exc) for exc in raised + list(cores.values())}) == 4
 
     def test_one_core_per_contracted_gridding(self, x_matrix, monkeypatch):
-        # Lettering, relettering and the drawing depend on the contracted
-        # gridding alone, so the n = 6 sweep runs each once per distinct one.
-        calls = {"find_lettering": 0, "reletter": 0, "realize": 0}
+        # Lettering, relettering and psi depend on the contracted gridding
+        # alone, so the n = 6 sweep runs each once per distinct one; nothing
+        # draws the contracted gridding, and each row reads back twice: its
+        # own drawing and that drawing moved onto the universal figure.
+        geometry_names = ("consistency", "realize", "_draw", "check_realization")
+        calls = dict.fromkeys(("find_lettering", "reletter") + geometry_names, 0)
 
         def counting(name, f):
             def wrapper(*args, **kwargs):
@@ -610,11 +627,19 @@ class TestClassExperiment:
         lettering = LetteringCache.find_lettering
         monkeypatch.setattr(LetteringCache, "find_lettering", counting("find_lettering", lettering))
         monkeypatch.setattr(pipeline, "reletter", counting("reletter", reletter))
-        monkeypatch.setattr(geometry, "realize", counting("realize", geometry.realize))
+        for name in geometry_names:
+            monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
         report = class_experiment(6, x_matrix, 3)
         contracted = {contract_gridded(find_gridding(row.perm, x_matrix))[0] for row in report.rows}
         assert (len(report.rows), len(contracted)) == (457, 128)
-        assert calls == {"find_lettering": 128, "reletter": 128, "realize": 128}
+        assert calls == {
+            "find_lettering": 128,
+            "reletter": 128,
+            "consistency": 128,
+            "realize": 0,
+            "_draw": 0,
+            "check_realization": 2 * 457,
+        }
 
     def test_one_gridding_search_per_permutation(self, x_matrix, monkeypatch):
         calls = []
@@ -683,9 +708,11 @@ class TestDrawingTailAgainstReferences:
                     if find_gridding(pi, m) is None:
                         continue
                     result = geometrize(pi, m, r, cache)
-                    sigma_real = geometry.realize(result.contracted_gridded, result.signed)
+                    sigma_gp, signed = result.contracted_gridded, result.signed
+                    sigma_real = geometry.realize(sigma_gp, signed)
                     groups = contract_gridded(result.initial_gridding)[1]
-                    got = _inflate_points(sigma_real, groups)
+                    psi = consistency(local_orders(sigma_gp, signed))
+                    got = _inflate_points(sigma_gp, signed, psi, groups)
                     assert got == reference_inflate_points(sigma_real, groups), pi
                     assert got[1] == result.realization.points
                     inflated += len(groups) < n
