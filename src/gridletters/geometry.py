@@ -55,14 +55,6 @@ def standard_figure(m: GridMatrix) -> StandardFigure:
     return StandardFigure(m, tuple(segs))
 
 
-def base_point(cell: Cell, signs: SignedMatrix) -> tuple[int, int]:
-    """Corner of the cell from which both orientation arrows originate."""
-    k, l = cell
-    x = k - 1 if signs.col_signs[k - 1] == 1 else k
-    y = l - 1 if signs.row_signs[l - 1] == 1 else l
-    return x, y
-
-
 @dataclasses.dataclass(frozen=True)
 class LocalOrders:
     """Chains of indices: one per column (ordered by position along the

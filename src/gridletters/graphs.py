@@ -1,12 +1,12 @@
 """Finite simple graphs on vertex sets {1, ..., n}.
 
 Everything here is immutable: a graph is an order together with a frozenset
-of normalized edge pairs (u, v) with u < v.  Isomorphism has two searches,
-both intended for orders up to ~12: `canonical_form`, one
+of normalized edge pairs (u, v) with u < v.  Isomorphism has one search,
+intended for orders up to ~12: `canonical_form`, an
 individualization-refinement search giving a certificate that is equal
-exactly for isomorphic graphs and the automorphism orbits, and
-`find_isomorphism`, a plain backtracker with degree pruning that returns an
-explicit bijection.
+exactly for isomorphic graphs, the automorphism orbits and the vertex order
+of its least leaf.  `find_isomorphism` reads an explicit bijection off two
+such orders, and `contains_induced` compares certificates.
 """
 from __future__ import annotations
 
@@ -126,82 +126,6 @@ def family(kind: str, size: int) -> SimpleGraph:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def find_isomorphism(
-    g: SimpleGraph,
-    h: SimpleGraph,
-    pin: Optional[tuple[int, int]] = None,
-) -> Optional[tuple[int, ...]]:
-    """An adjacency-preserving bijection g -> h, or None.
-
-    Returned as a tuple m with m[u-1] = image of vertex u.  With pin=(u, v)
-    only bijections mapping u to v are considered.
-    """
-    n = g.order
-    if n != h.order or len(g.edges) != len(h.edges):
-        return None
-
-    gm = adjacency_masks(g)
-    hm = adjacency_masks(h)
-    gdeg = [bin(m).count("1") for m in gm]
-    hdeg = [bin(m).count("1") for m in hm]
-    if sorted(gdeg) != sorted(hdeg):
-        return None
-
-    # Neighbor degree multisets sharpen the candidate lists cheaply.
-    def profile(deg, masks, u):
-        return (deg[u], tuple(sorted(deg[w] for w in _bits(masks[u]))))
-
-    gprof = [profile(gdeg, gm, u) for u in range(n)]
-    hprof = [profile(hdeg, hm, u) for u in range(n)]
-    candidates = [
-        [v for v in range(n) if hprof[v] == gprof[u]] for u in range(n)
-    ]
-    if any(not c for c in candidates):
-        return None
-    if pin is not None:
-        pu, pv = pin[0] - 1, pin[1] - 1
-        if pv not in candidates[pu]:
-            return None
-        candidates[pu] = [pv]
-
-    # Most-constrained-first ordering of g's vertices.
-    order = sorted(range(n), key=lambda u: (len(candidates[u]), -gdeg[u]))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        u = order[k]
-        for v in candidates[u]:
-            if used[v]:
-                continue
-            ok = True
-            for w in order[:k]:
-                if ((gm[u] >> w) & 1) != ((hm[v] >> mapping[w]) & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = v
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                used[v] = False
-                mapping[u] = -1
-        return False
-
-    if not extend(0):
-        return None
-    return tuple(m + 1 for m in mapping)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _refine(adj: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
     """Split the ordered partition `cells` until it is equitable: every two
     vertices of a cell have equally many neighbours in each cell.
@@ -239,10 +163,11 @@ def _refine(adj: Sequence[int], cells: list[list[int]], splitters: list[int]) ->
 
 
 @functools.lru_cache(maxsize=1024)
-def canonical_form(g: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(certificate, orbits): equal certificates iff isomorphic graphs, and
-    the automorphism orbit id per vertex (0-based; an orbit is named by its
-    least member).
+def canonical_form(g: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(certificate, orbits, order): equal certificates iff isomorphic
+    graphs, the automorphism orbit id per vertex (0-based; an orbit is named
+    by its least member), and the least leaf's order: order[t] is the
+    0-based vertex at canonical position t.
 
     One individualization-refinement search (McKay and Piperno, "Practical
     graph isomorphism, II", J. Symbolic Comput. 60, 2014).  A node is an
@@ -333,7 +258,17 @@ def canonical_form(g: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     cells = _refine(adj, [list(range(n))], [(1 << n) - 1]) if n else []
     search(cells, [], True)
-    return best[2], tuple(find(v) for v in range(n))
+    return best[2], tuple(find(v) for v in range(n)), tuple(best[1])
+
+
+def find_isomorphism(g: SimpleGraph, h: SimpleGraph) -> Optional[tuple[int, ...]]:
+    """An adjacency-preserving bijection g -> h as m[u-1] = image of vertex
+    u, or None: with equal certificates, equal canonical positions match."""
+    cert_g, _, order_g = canonical_form(g)
+    cert_h, _, order_h = canonical_form(h)
+    if cert_g != cert_h:
+        return None
+    return tuple(v + 1 for _, v in sorted(zip(order_g, order_h)))
 
 
 def vertex_orbits(g: SimpleGraph) -> tuple[int, ...]:
@@ -346,6 +281,7 @@ def contains_induced(g: SimpleGraph, h: SimpleGraph) -> bool:
     if h.order > g.order:
         return False
     adj = adjacency_masks(g)
+    certificate = canonical_form(h)[0]
     for vs in itertools.combinations(range(g.order), h.order):
         # Only a subset with h's edge count can induce a copy of h.
         s = 0
@@ -356,7 +292,7 @@ def contains_induced(g: SimpleGraph, h: SimpleGraph) -> bool:
             twice_edges += (adj[v] & s).bit_count()
         if twice_edges != 2 * len(h.edges):
             continue
-        if find_isomorphism(induced_subgraph(g, [v + 1 for v in vs]), h) is not None:
+        if canonical_form(induced_subgraph(g, [v + 1 for v in vs]))[0] == certificate:
             return True
     return False
 

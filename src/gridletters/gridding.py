@@ -148,32 +148,11 @@ class GriddedPermutation:
             cells.append(cell)
         object.__setattr__(self, "cells", tuple(cells))
 
-    def column_of(self, i: int) -> int:
-        """Column whose half-open position range [x_k, x_{k+1}) contains i."""
-        if not (1 <= i <= len(self.perm)):
-            raise ValueError(f"index {i} out of range")
-        return bisect.bisect_right(self.col_divs, i)
-
-    def row_of_value(self, v: int) -> int:
-        if not (1 <= v <= len(self.perm)):
-            raise ValueError(f"value {v} out of range")
-        return bisect.bisect_right(self.row_divs, v)
-
     def cell_of(self, i: int) -> tuple[int, int]:
         """Cell (column, row) of the entry at position i."""
         if not (1 <= i <= len(self.perm)):
             raise ValueError(f"index {i} out of range")
         return self.cells[i - 1]
-
-    def entries_in_column(self, k: int) -> tuple[int, ...]:
-        if not (1 <= k <= self.matrix.cols):
-            raise ValueError(f"column {k} out of range")
-        return tuple(range(self.col_divs[k - 1], self.col_divs[k]))
-
-    def entries_in_row(self, l: int) -> tuple[int, ...]:
-        if not (1 <= l <= self.matrix.rows):
-            raise ValueError(f"row {l} out of range")
-        return tuple(i for i, cell in enumerate(self.cells, start=1) if cell[1] == l)
 
 
 def _division_tuples(n: int, parts: int) -> Iterator[tuple[int, ...]]:

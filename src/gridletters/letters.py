@@ -18,10 +18,10 @@ that may take it next.  These masks only narrow, so a child computes its
 own from its parent's with one AND per letter, and the parent drops a child
 that leaves an unplaced vertex fitting no letter before calling it.
 
-`LetteringCache` keeps, per isomorphism class (one canonical certificate),
-the sizes known to fail, the decided size and the witness decoder; a later
-graph of the class reruns only that one word search.  `find_lettering` and
-`lettericity` are the same lookups on a fresh cache.
+`LetteringCache` keeps, per isomorphism class (one `graphs.canonical_form`
+certificate), the sizes known to fail, the decided size and the witness
+decoder; a later graph of the class reruns only that one word search.
+`find_lettering` and `lettericity` are the same lookups on a fresh cache.
 """
 from __future__ import annotations
 
@@ -82,19 +82,6 @@ def decode_letter_graph(
         if (word[i - 1], word[j - 1]) in decoder
     ]
     return graphs.graph(n, edges)
-
-
-def complement_decoder(
-    alphabet: Sequence[str], decoder: Iterable[tuple[str, str]]
-) -> frozenset[tuple[str, str]]:
-    """The decoder Sigma^2 minus D; decoding any word with it complements the graph."""
-    decoder = frozenset(decoder)
-    return frozenset(
-        (a, b)
-        for a in alphabet
-        for b in alphabet
-        if (a, b) not in decoder
-    )
 
 
 @functools.lru_cache(maxsize=8)

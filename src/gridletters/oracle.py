@@ -2,16 +2,17 @@
 experiment command's --verify flag.
 
 These deliberately share no search code with the modules they validate:
-containment tests every index subset, the lettericity oracle enumerates
-decoders and words outright, and the geometric membership oracle walks
-every cell assignment and every consistent sign vector (found per connected
-component of the column/row graph) with a plain cycle check.  Input
-sizes are capped; past the caps the oracles refuse rather than crawl.
+containment tests every index subset, isomorphism backtracks over plain
+bijections, lettericity enumerates decoders and words outright, and
+geometric membership walks every cell assignment and every consistent sign
+vector (found per connected component of the column/row graph) with a
+plain cycle check.  Past their input caps the oracles refuse, not crawl.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Optional
 
 from . import graphs
 from .gridding import GridMatrix, double
@@ -37,6 +38,41 @@ def containment_oracle(pi: Permutation, sigma: Permutation) -> bool:
         ):
             return True
     return k == 0
+
+
+def isomorphism_oracle(
+    g: graphs.SimpleGraph, h: graphs.SimpleGraph, pin: Optional[tuple[int, int]] = None
+) -> Optional[tuple[int, ...]]:
+    """An adjacency-preserving bijection g -> h as m[u-1] = image of u, or
+    None, by plain backtracking once the sorted degrees agree: g's vertices
+    in order, each tried against every unused vertex of h of its degree.
+    With pin=(u, v) only bijections mapping u to v are considered."""
+    if max(g.order, h.order) > 12:
+        raise ValueError("isomorphism oracle capped at order 12")
+    n = g.order
+    gm, hm = graphs.adjacency_masks(g), graphs.adjacency_masks(h)
+    degree = [m.bit_count() for m in hm]
+    if sorted(degree) != sorted(m.bit_count() for m in gm):
+        return None
+    mapping: list[int] = []
+
+    def extend(u: int, used: int) -> bool:
+        if u == n:
+            return True
+        # v fits if its neighbours among the used are the images of u's.
+        want = sum(1 << x for w, x in enumerate(mapping) if gm[u] >> w & 1)
+        for v in range(n):
+            if used >> v & 1 or degree[v] != gm[u].bit_count() or hm[v] & used != want:
+                continue
+            if pin is not None and pin[0] == u + 1 and pin[1] != v + 1:
+                continue
+            mapping.append(v)
+            if extend(u + 1, used | 1 << v):
+                return True
+            mapping.pop()
+        return False
+
+    return tuple(v + 1 for v in mapping) if extend(0, 0) else None
 
 
 @functools.lru_cache(maxsize=8)
@@ -76,7 +112,7 @@ def lettericity_oracle(g: graphs.SimpleGraph) -> int:
                 if len(edges) != edge_count:
                     continue
                 candidate = graphs.graph(n, edges)
-                if graphs.find_isomorphism(candidate, g) is not None:
+                if isomorphism_oracle(candidate, g) is not None:
                     return k
     raise AssertionError("every graph admits an n-lettering")
 

@@ -41,10 +41,6 @@ class Permutation:
         return format_permutation(self)
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def parse_permutation(text: str) -> Permutation:
     """Parse whitespace- or comma-separated one-line notation.
 

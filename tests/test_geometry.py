@@ -9,7 +9,6 @@ from gridletters.geometry import (
     LocalOrders,
     Realization,
     _word_points,
-    base_point,
     check_realization,
     consistency,
     decode_word,
@@ -64,12 +63,6 @@ class TestStandardFigure:
         assert len(segments) == 5
         assert segments[(2, 2)] == ((1, 1), (2, 2))
         assert segments[(1, 2)] == ((0, 2), (1, 1))
-
-    def test_base_points(self, fan_matrix):
-        signs = pmm_signs(fan_matrix)
-        assert base_point((1, 2), signs) == (0, 2)
-        assert base_point((2, 2), signs) == (2, 2)
-        assert base_point((3, 1), signs) == (3, 0)
 
 
 class TestLocalOrders:
@@ -599,16 +592,18 @@ class TestReadPointsAgainstFractions:
 
 
 def per_line_local_orders(gp, signs):
-    # Reference local orders, one entries_in_column / entries_in_row per line.
+    # Reference local orders, one line at a time: a column's positions and
+    # the positions of a row's values, each read off that line's divisions.
     cols = []
     for k in range(1, gp.matrix.cols + 1):
-        chain = list(gp.entries_in_column(k))
+        chain = list(range(gp.col_divs[k - 1], gp.col_divs[k]))
         if signs.col_signs[k - 1] == -1:
             chain.reverse()
         cols.append(tuple(chain))
     rows = []
     for l in range(1, gp.matrix.rows + 1):
-        chain = sorted(gp.entries_in_row(l), key=gp.perm.at)
+        values = range(gp.row_divs[l - 1], gp.row_divs[l])
+        chain = [gp.perm.position_of(v) for v in values]
         if signs.row_signs[l - 1] == -1:
             chain.reverse()
         rows.append(tuple(chain))

@@ -22,6 +22,7 @@ from gridletters.graphs import (
     parse_graph,
     vertex_orbits,
 )
+from gridletters.oracle import isomorphism_oracle
 from gridletters.perm import Permutation, inversion_graph, parse_permutation
 
 
@@ -131,8 +132,61 @@ class TestIsomorphism:
     def test_pinned_search_respects_pin(self):
         p4 = family("path", 4)
         # No automorphism of P4 maps an endpoint to a middle vertex.
-        assert find_isomorphism(p4, p4, pin=(1, 2)) is None
-        assert find_isomorphism(p4, p4, pin=(1, 4)) is not None
+        assert isomorphism_oracle(p4, p4, pin=(1, 2)) is None
+        assert isomorphism_oracle(p4, p4, pin=(1, 4)) is not None
+
+    def check_against_oracle(self, pairs):
+        # Found or not as the oracle finds, and every bijection either
+        # returns preserves adjacency.
+        for g, h in pairs:
+            got, want = find_isomorphism(g, h), isomorphism_oracle(g, h)
+            assert (got is None) == (want is None), (g, h)
+            for m in (got, want):
+                if m is not None:
+                    assert sorted(m) == list(range(1, g.order + 1))
+                    assert all(h.has_edge(m[u - 1], m[v - 1]) for u, v in g.edges)
+
+    def test_matches_the_oracle_on_every_labelled_graph_to_order_five(self):
+        # Each graph against a relabelling, and against a graph of its order
+        # and edge count (of its degrees if one exists) that the oracle finds
+        # no isomorphism to.  48 graphs have no such partner: those whose
+        # edge count has one class at their order.
+        rng = random.Random(5)
+        pairs, unmatched = [], 0
+        for n in range(6):
+            degrees = {g: sorted(g.degree(v) for v in range(1, n + 1)) for g in all_labelled_graphs(n)}
+            by_edges = {}
+            for g in degrees:
+                by_edges.setdefault(len(g.edges), []).append(g)
+            for bucket in by_edges.values():
+                rng.shuffle(bucket)
+            for g in degrees:
+                pairs.append((g, relabel(g, rng)))
+                others = sorted(by_edges[len(g.edges)], key=lambda h: degrees[h] != degrees[g])
+                other = next((h for h in others if isomorphism_oracle(g, h) is None), None)
+                if other is None:
+                    unmatched += 1
+                else:
+                    pairs.append((g, other))
+        self.check_against_oracle(pairs)
+        assert unmatched == 48 and len(pairs) == 2 * 1100 - 48
+
+    def test_matches_the_oracle_on_random_graphs_of_order_six_to_twelve(self):
+        # Each graph against a relabelling, and against a relabelling with
+        # one edge moved to a non-edge, which is mostly not isomorphic.
+        rng = random.Random(612)
+        pairs = []
+        for _ in range(100):
+            n = rng.randint(6, 12)
+            density = rng.choice((0.2, 0.5, 0.8))
+            g = graph(n, [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < density])
+            non_edges = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in g.edges]
+            pairs.append((g, relabel(g, rng)))
+            if g.edges and non_edges:
+                moved = set(g.edges) - {rng.choice(sorted(g.edges))} | {rng.choice(non_edges)}
+                pairs.append((g, relabel(graph(n, moved), rng)))
+        self.check_against_oracle(pairs)
+        assert sum(isomorphism_oracle(g, h) is None for g, h in pairs) > 50
 
     def test_vertex_orbits(self):
         assert vertex_orbits(family("cycle", 5)) == (0, 0, 0, 0, 0)
@@ -152,20 +206,20 @@ def reference_orbits(g):
 
     for u in range(n):
         for v in range(u + 1, n):
-            if find(u) != find(v) and find_isomorphism(g, g, pin=(u + 1, v + 1)):
+            if find(u) != find(v) and isomorphism_oracle(g, g, pin=(u + 1, v + 1)):
                 parent[find(v)] = find(u)
     return tuple(find(u) for u in range(n))
 
 
 def reference_class_ids(graphs):
     """Isomorphism class id per graph: bucket by order, edge count and sorted
-    degrees, then probe each bucket member with find_isomorphism."""
+    degrees, then probe each bucket member with isomorphism_oracle."""
     buckets, ids, fresh = {}, [], itertools.count()
     for g in graphs:
         degrees = tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
         bucket = buckets.setdefault((g.order, len(g.edges), degrees), [])
         for rep, cid in bucket:
-            if find_isomorphism(g, rep) is not None:
+            if isomorphism_oracle(g, rep) is not None:
                 ids.append(cid)
                 break
         else:
@@ -231,14 +285,21 @@ def regular_graphs():
 
 class TestCanonicalForm:
     def check_against_references(self, stream):
-        # Equal certificates exactly for isomorphic graphs, and the orbits
-        # of the pinned-probe reference.
+        # Equal certificates exactly for isomorphic graphs, the orbits of
+        # the pinned-probe reference, and an order that relabels g's
+        # adjacency masks to the certificate.
         stream = list(stream)
         ids = reference_class_ids(stream)
         class_of_cert = {}
         for g, cid in zip(stream, ids):
-            cert, orbits = canonical_form(g)
+            cert, orbits, order = canonical_form(g)
             assert orbits == reference_orbits(g), g
+            position = {v + 1: t for t, v in enumerate(order)}
+            rows = [0] * g.order
+            for u, v in g.edges:
+                rows[position[u]] |= 1 << position[v]
+                rows[position[v]] |= 1 << position[u]
+            assert sorted(order) == list(range(g.order)) and tuple(rows) == cert, g
             assert class_of_cert.setdefault(cert, cid) == cid, g
         assert len(class_of_cert) == len(set(ids))
 
@@ -282,8 +343,8 @@ class TestCanonicalForm:
         assert len(set(canonical_form(family("path", 12))[1])) == 6
 
     def test_empty_and_single_vertex(self):
-        assert canonical_form(graph(0)) == ((), ())
-        assert canonical_form(graph(1)) == ((0,), (0,))
+        assert canonical_form(graph(0)) == ((), (), ())
+        assert canonical_form(graph(1)) == ((0,), (0,), (0,))
         assert canonical_form(graph(1))[0] != canonical_form(graph(2))[0]
 
 
@@ -335,6 +396,37 @@ class TestRecognition:
                     g, family("cycle", 4)
                 )
                 assert is_split(g) == short
+
+
+def reference_contains_induced(g, h):
+    """Some vertex subset of g induces a graph isomorphic to h, by
+    isomorphism_oracle on every subset of h's order."""
+    return any(
+        isomorphism_oracle(induced_subgraph(g, vs), h) is not None
+        for vs in itertools.combinations(range(1, g.order + 1), h.order)
+    )
+
+
+class TestRecognitionAgainstOracle:
+    FORBIDDEN = {
+        "2K2": family("mK2", 2),
+        "C4": family("cycle", 4),
+        "P4": family("path", 4),
+        "C5": family("cycle", 5),
+    }
+
+    def check(self, stream):
+        for g in stream:
+            found = {name: reference_contains_induced(g, h) for name, h in self.FORBIDDEN.items()}
+            assert is_threshold(g) == (not (found["2K2"] or found["C4"] or found["P4"])), g
+            assert is_split(g) == (not (found["2K2"] or found["C4"] or found["C5"])), g
+
+    def test_every_labelled_graph_to_order_five(self):
+        self.check(g for n in range(6) for g in all_labelled_graphs(n))
+
+    def test_fixed_sample_of_order_six(self):
+        # 2,048 of the 32,768 labelled graphs of order 6.
+        self.check(random.Random(6).sample(list(all_labelled_graphs(6)), 2048))
 
 
 class TestDistinguished:

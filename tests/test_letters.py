@@ -11,7 +11,6 @@ from gridletters.graphs import (
     canonical_form,
     complement,
     family,
-    find_isomorphism,
     graph,
     induced_subgraph,
     vertex_orbits,
@@ -23,13 +22,12 @@ from gridletters.letters import (
     _has_lettering,
     _search_word,
     canonical_decoders,
-    complement_decoder,
     decode_letter_graph,
     find_lettering,
     lettericity,
     verify_letterization,
 )
-from gridletters.oracle import lettericity_oracle
+from gridletters.oracle import isomorphism_oracle, lettericity_oracle
 from gridletters.perm import Permutation, inversion_graph
 
 THRESHOLD_DECODER = {("i", "d"), ("d", "d")}
@@ -62,25 +60,14 @@ class TestDecode:
 
 
 class TestComplementDecoder:
-    def test_single_letter(self):
-        assert complement_decoder("a", set()) == frozenset({("a", "a")})
-
-    def test_threshold_decoder(self):
-        assert complement_decoder("id", THRESHOLD_DECODER) == frozenset(
-            {("i", "i"), ("d", "i")}
-        )
-
-    def test_double_complement(self):
-        assert complement_decoder("ab", complement_decoder("ab", {("a", "b")})) == frozenset(
-            {("a", "b")}
-        )
-
     @given(st.lists(st.sampled_from(["a", "b"]), min_size=0, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_decoding_complement_decoder_complements(self, word):
+        # The complementary decoder, every pair of letters not in D.
         decoder = {("a", "b"), ("b", "b")}
+        complementary = {(x, y) for x in "ab" for y in "ab"} - decoder
         g = decode_letter_graph("ab", decoder, word)
-        h = decode_letter_graph("ab", complement_decoder("ab", decoder), word)
+        h = decode_letter_graph("ab", complementary, word)
         assert h == complement(g)
 
 
@@ -104,7 +91,7 @@ def brute_least_lettering(g, k):
                     for j in range(i + 1, n)
                     if (word[i], word[j]) in decoder
                 ]
-                if find_isomorphism(graph(n, edges), g):
+                if isomorphism_oracle(graph(n, edges), g):
                     return decoder, word
     return None
 
@@ -247,7 +234,7 @@ def direct_lettering(g, k):
 class ProbingCache(LetteringCache):
     """The cache keyed without certificates: classes bucketed by order, edge
     count and sorted degrees, and each bucket member probed with
-    find_isomorphism."""
+    isomorphism_oracle."""
 
     def __init__(self):
         self._buckets = {}
@@ -256,7 +243,7 @@ class ProbingCache(LetteringCache):
         degrees = tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
         bucket = self._buckets.setdefault((g.order, len(g.edges), degrees), [])
         for rep, rec in bucket:
-            if find_isomorphism(g, rep) is not None:
+            if isomorphism_oracle(g, rep) is not None:
                 return rec
         bucket.append((g, letters._ClassRecord()))
         return bucket[-1][1]
@@ -299,7 +286,7 @@ class TestLetteringCache:
             degrees = tuple(sorted(g.degree(v) for v in range(1, g.order + 1)))
             reps = oracle_reps.setdefault((g.order, len(g.edges), degrees), [])
             for rep, value in reps:
-                if find_isomorphism(g, rep) is not None:
+                if isomorphism_oracle(g, rep) is not None:
                     return value
             reps.append((g, lettericity_oracle(g)))
             return reps[-1][1]

@@ -13,10 +13,11 @@ from gridletters.oracle import (
     _sign_vectors,
     containment_oracle,
     geom_member_oracle,
+    isomorphism_oracle,
     lettericity_oracle,
 )
 from gridletters.pipeline import class_experiment
-from gridletters.perm import Permutation, contains, identity, parse_permutation
+from gridletters.perm import Permutation, contains, parse_permutation
 
 P = parse_permutation
 
@@ -45,7 +46,24 @@ class TestContainmentOracle:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            containment_oracle(identity(10), P("1"))
+            containment_oracle(Permutation(tuple(range(1, 11))), P("1"))
+
+
+class TestIsomorphismOracle:
+    def test_examples(self):
+        p4 = family("path", 4)
+        assert isomorphism_oracle(p4, graph(4, [(2, 4), (4, 1), (1, 3)])) == (2, 4, 1, 3)
+        assert isomorphism_oracle(family("cycle", 4), family("mK2", 2)) is None
+        assert isomorphism_oracle(p4, family("path", 5)) is None
+        assert isomorphism_oracle(graph(0), graph(0)) == ()
+
+    def test_cap(self):
+        # Order 12 is searched; past it both arguments are refused.
+        p12 = family("path", 12)
+        assert isomorphism_oracle(p12, p12, pin=(1, 12)) == tuple(range(12, 0, -1))
+        for g, h in ((family("path", 13), p12), (p12, family("path", 13))):
+            with pytest.raises(ValueError, match="capped at order 12"):
+                isomorphism_oracle(g, h)
 
 
 class TestLettericityOracle:
@@ -76,7 +94,7 @@ class TestGeomMemberOracle:
     def test_examples(self, x_matrix, one_cell):
         assert not geom_member_oracle(P("3142"), x_matrix)
         for n in range(6):
-            assert geom_member_oracle(identity(n), one_cell)
+            assert geom_member_oracle(Permutation(tuple(range(1, n + 1))), one_cell)
 
     def test_agrees_with_search(self, x_matrix, v_matrix, non_pmm_matrix, one_cell):
         for m in (x_matrix, v_matrix, non_pmm_matrix, one_cell):
@@ -86,7 +104,7 @@ class TestGeomMemberOracle:
 
     def test_cap(self, one_cell):
         with pytest.raises(ValueError):
-            geom_member_oracle(identity(8), one_cell)
+            geom_member_oracle(Permutation(tuple(range(1, 9))), one_cell)
 
 
 def product_sign_vectors(m):
