@@ -18,6 +18,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -25,7 +26,7 @@ from .gridding import (
     GriddedPermutation,
     GridMatrix,
     SignedMatrix,
-    _division_pairs,
+    _divisions,
     divisions_of_cells,
     double,
     pmm_signs,
@@ -35,6 +36,7 @@ from .perm import Permutation
 
 Point = tuple[Fraction, Fraction]
 Cell = tuple[int, int]
+Successors = tuple[list[int], list[int]]  # per index of disjoint chains: next (or 0), in-degree
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,43 +74,43 @@ def local_orders(gp: GriddedPermutation, signs: SignedMatrix) -> LocalOrders:
     if gp.matrix != signs.matrix:
         raise ValueError("gridding and signs are over different matrices")
     position = [0] + [gp.perm.position_of(v) for v in range(1, len(gp.perm) + 1)]
-    cols, rows = _chains(position, gp.col_divs, gp.row_divs, signs)
+    cols = _chains(range(len(position)), gp.col_divs, signs.col_signs)
+    rows = _chains(position, gp.row_divs, signs.row_signs)
     return LocalOrders(len(gp.perm), tuple(map(tuple, cols)), tuple(map(tuple, rows)))
 
 
-def _chains(position, col_divs, row_divs, signs: SignedMatrix) -> tuple[list, list]:
-    # Column k holds the positions [x_k, x_{k+1}) and row l the values
-    # [y_l, y_{l+1}): a range or a slice of position, reversed for sign -1.
-    cols = [
-        range(lo, hi) if s == 1 else range(hi - 1, lo - 1, -1)
-        for lo, hi, s in zip(col_divs, col_divs[1:], signs.col_signs)
+def _chains(order: Sequence[int], divs: Sequence[int], signs: Sequence[int]) -> list:
+    # Line j holds order[divs[j-1]:divs[j]], reversed for sign -1: a column
+    # its positions (order = range(n + 1)), a row the positions of its values.
+    return [
+        order[lo:hi] if s == 1 else order[hi - 1 : lo - 1 : -1]
+        for lo, hi, s in zip(divs, divs[1:], signs)
     ]
-    rows = [
-        position[lo:hi] if s == 1 else position[hi - 1 : lo - 1 : -1]
-        for lo, hi, s in zip(row_divs, row_divs[1:], signs.row_signs)
-    ]
-    return cols, rows
 
 
 def consistency(lo: LocalOrders) -> Optional[tuple[int, ...]]:
     """A linear extension psi of the union of the local orders, or None.
 
     psi[i-1] is the rank of index i; smallest available index first, so the
-    extension is deterministic.  `geom_witness` runs the same kernel on the
-    chains of each division pair it tests.
+    extension is deterministic.  Each index lies in one chain per axis.
     """
-    return _extension(lo.n, lo.chains())
+    return _extension(lo.n, _successors(lo.n, lo.column_chains), _successors(lo.n, lo.row_chains))
 
 
-def _extension(n: int, chains: Iterable[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    # Successor lists and in-degrees; an edge in a column and a row chain is
-    # counted and released twice, which leaves psi as if it were there once.
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
+def _successors(n: int, chains: Iterable[Sequence[int]]) -> Successors:
+    succ, indeg = [0] * (n + 1), [0] * (n + 1)
     for chain in chains:
         for a, b in itertools.pairwise(chain):
-            succ[a].append(b)
-            indeg[b] += 1
+            succ[a] = b
+            indeg[b] = 1
+    return succ, indeg
+
+
+def _extension(n: int, cols: Successors, rows: Successors) -> Optional[tuple[int, ...]]:
+    # The one consistency kernel.  An edge in a column and a row chain is
+    # counted and released twice, which leaves psi as if it were there once.
+    (col_succ, col_indeg), (row_succ, row_indeg) = cols, rows
+    indeg = list(map(operator.add, col_indeg, row_indeg))
     heap = [i for i in range(1, n + 1) if not indeg[i]]  # ascending, so a heap
     psi = [0] * n
     rank = 0
@@ -116,10 +118,11 @@ def _extension(n: int, chains: Iterable[Sequence[int]]) -> Optional[tuple[int, .
         i = heapq.heappop(heap)
         rank += 1
         psi[i - 1] = rank
-        for b in succ[i]:
-            indeg[b] -= 1
-            if not indeg[b]:
-                heapq.heappush(heap, b)
+        for b in (col_succ[i], row_succ[i]):
+            if b:
+                indeg[b] -= 1
+                if not indeg[b]:
+                    heapq.heappush(heap, b)
     return tuple(psi) if rank == n else None
 
 
@@ -288,8 +291,10 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     form of m (doubling when m admits no signs), or None iff pi is not in
     Geom(m): the first gridding in lexicographic order whose local orders
     are consistent, drawn with `pmm_signs`.  The `consistency` kernel tests
-    the chains read off each division pair; only the first consistent pair
-    is built into a gridding, drawn with the psi the kernel found.
+    each division pair: the column successors are built once per column
+    tuple, and each row tuple adds only its row successors.  Only the first
+    consistent pair is built into a gridding, drawn with the psi the kernel
+    found.
 
     One sign vector suffices.  Each entry's column and row lie in one
     connected component of the nonzero pattern, so the local orders split
@@ -298,12 +303,14 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     """
     work = m if pmm_signs(m) is not None else double(m)
     signs = pmm_signs(work)
-    position = [0] + [pi.position_of(v) for v in range(1, len(pi) + 1)]
-    for cdivs, rdivs in _division_pairs(pi, work):
-        cols, rows = _chains(position, cdivs, rdivs, signs)
-        psi = _extension(len(pi), cols + rows)
-        if psi is not None:
-            return _draw(GriddedPermutation(pi, work, cdivs, rdivs), signs, psi)
+    n = len(pi)
+    position = [0] + [pi.position_of(v) for v in range(1, n + 1)]
+    for cdivs, rows in _divisions(pi, work):
+        cols = _successors(n, _chains(range(n + 1), cdivs, signs.col_signs))
+        for rdivs in rows:
+            psi = _extension(n, cols, _successors(n, _chains(position, rdivs, signs.row_signs)))
+            if psi is not None:
+                return _draw(GriddedPermutation(pi, work, cdivs, rdivs), signs, psi)
     return None
 
 

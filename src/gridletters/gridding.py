@@ -10,15 +10,15 @@ tuples x_1 = 1 <= ... <= x_{t+1} = n+1 and y_1 = 1 <= ... <= y_{u+1} = n+1;
 the entries with positions in [x_k, x_{k+1}) and values in [y_l, y_{l+1})
 must be increasing, decreasing, or absent as the matrix entry dictates.
 
-Griddings are searched in lexicographic order, with row cuts bounded by how
-far up the values each row can reach (see `_division_pairs`).
+Griddings are searched in lexicographic order, with the cuts of both axes
+bounded by how far each column and each row can reach (see `_divisions`).
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perm import Permutation, contains, parse_permutation
 
@@ -155,16 +155,6 @@ class GriddedPermutation:
         return self.cells[i - 1]
 
 
-def _division_tuples(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples (1, d_2, ..., d_parts, n+1), lexicographically."""
-    if parts == 0:
-        if n == 0:
-            yield (1,)
-        return
-    for interior in itertools.combinations_with_replacement(range(1, n + 2), parts - 1):
-        yield (1,) + interior + (n + 1,)
-
-
 def divisions_of_cells(
     cells: Iterable[tuple[int, int]], t: int, u: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -184,69 +174,97 @@ def divisions_of_cells(
     )
 
 
-def _row_divisions(
-    m: GridMatrix, position: Sequence[int], column: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Valid row divisions, lexicographically, given each value's column and position."""
-    n, u = len(position) - 1, m.rows
+def _cuts(parts: int, n: int, fit: Callable[[int, int], int]) -> Iterator[tuple[int, ...]]:
+    """Division tuples (1, d_2, ..., d_parts, n+1), lexicographically, with
+    d_{j+1} <= fit(j, d_j): the greatest b such that line j alone can take
+    a..b-1.  Fitting is hereditary, so fit grows with a, and lines j..parts
+    can cover a..n iff a >= first[j], the least a with fit(j, a) >= first[j+1].
+    """
     memo: dict[tuple[int, int], int] = {}
 
     def reach(l: int, a: int) -> int:
         if (l, a) not in memo:
-            last = [0] * (m.cols + 1)  # per column, position of the last value
-            b = a
-            while b <= n:
-                k, q = column[b], position[b]
-                s, p = m.entries[k - 1][l - 1], last[k]
-                if s == 0 or (p and (q - p) * s < 0):
-                    break
-                last[k] = q
-                b += 1
-            memo[l, a] = b
+            memo[l, a] = fit(l, a)
         return memo[l, a]
 
+    top = 1
+    for l in range(1, parts + 1):
+        top = reach(l, top)
+    if top != n + 1:
+        return
+    first = [n + 1] * (parts + 2)
+    for l in range(parts, 0, -1):
+        first[l] = 1 + bisect.bisect_left(range(1, n + 2), first[l + 1], key=lambda a: reach(l, a))
+
     def cuts(l: int, a: int) -> Iterator[tuple[int, ...]]:
-        # Divisions (y_l = a, ..., y_{u+1} = n+1) letting rows l..u cover a..n.
-        top = a
-        for r in range(l, u + 1):
-            top = reach(r, top)
-        if top != n + 1:
-            return
-        if l > u:
+        if l > parts:
             yield (a,)
             return
-        for b in range(a, reach(l, a) + 1):
+        for b in range(max(a, first[l + 1]), reach(l, a) + 1):
             for rest in cuts(l + 1, b):
                 yield (a,) + rest
 
-    return cuts(1, 1)
+    yield from cuts(1, 1)
 
 
-def _division_pairs(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The (col_divs, row_divs) of every valid gridding, lexicographically.
+def _row_divisions(
+    m: GridMatrix, position: Sequence[int], column: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Valid row divisions, lexicographically, given each value's column and
+    position: row l fits values that each sit in a nonzero cell kept monotone."""
+    n = len(position) - 1
 
-    Column division tuples are enumerated; each fixes every entry's column,
-    and the row cuts are then chosen by a depth-first search in increasing
-    order bounded by reach(l, a): the largest b such that values a..b-1 fit
-    row l, each in a nonzero cell that it keeps monotone (O(1) per value, as
-    values arrive in increasing order).  Fitting a row is hereditary, so
-    rows l..u can still cover a..n iff reach(u, ... reach(l, a)) = n+1, and
-    every cut failing that is pruned.  A column tuple costs O(u n^2) at
-    most, plus output, where checking every row tuple costs O(n^(u-1) n).
-    """
+    def reach(l: int, a: int) -> int:
+        last = [0] * (m.cols + 1)  # per column, position of the last value
+        b = a
+        while b <= n:
+            k, q = column[b], position[b]
+            s, p = m.entries[k - 1][l - 1], last[k]
+            if s == 0 or (p and (q - p) * s < 0):
+                break
+            last[k] = q
+            b += 1
+        return b
+
+    return _cuts(m.rows, n, reach)
+
+
+def _col_reach(m: GridMatrix, pi: Permutation, position: Sequence[int], k: int, a: int) -> int:
+    """The greatest b such that entries a..b-1, by increasing value, fill the
+    nonzero cells of column k bottom to top: an entry stays in the current
+    cell while it keeps the cell's sign, and otherwise opens the next one."""
+    signs, values = [s for s in m.entries[k - 1] if s], []
+    for b in range(a, len(pi) + 1):
+        bisect.insort(values, pi.values[b - 1])
+        used, s, last = 0, 0, 0
+        for v in values:
+            q = position[v]
+            if (q - last) * s <= 0:
+                if used == len(signs):
+                    return b
+                s, used = signs[used], used + 1
+            last = q
+    return len(pi) + 1
+
+
+def _divisions(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...], Iterator]]:
+    """(col_divs, row_divs iterator) of every valid gridding, lexicographically:
+    the column tuples `_cuts` allows by `_col_reach`, each with its
+    `_row_divisions`.  A column reach costs O(n^2) at most, and a column
+    tuple O(u n^2), plus output."""
     position = [0] + [pi.position_of(v) for v in range(1, len(pi) + 1)]
-    for cdivs in _division_tuples(len(pi), m.cols):
+    for cdivs in _cuts(m.cols, len(pi), lambda k, a: _col_reach(m, pi, position, k, a)):
         column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
-        for rdivs in _row_divisions(m, position, column):
-            yield cdivs, rdivs
+        yield cdivs, _row_divisions(m, position, column)
 
 
 def iter_griddings(pi: Permutation, m: GridMatrix) -> Iterator[GriddedPermutation]:
     """All valid griddings, lazily, in lexicographic (col_divs, row_divs) order:
-    the pairs of `_division_pairs`, each built and validated.  `geom_witness`
-    tests the pairs themselves and builds a gridding only for its witness."""
-    for cdivs, rdivs in _division_pairs(pi, m):
-        yield GriddedPermutation(pi, m, cdivs, rdivs)
+    the divisions of `_divisions`, each built and validated.  `geom_witness`
+    tests the divisions themselves and builds a gridding only for its witness."""
+    for cdivs, rows in _divisions(pi, m):
+        for rdivs in rows:
+            yield GriddedPermutation(pi, m, cdivs, rdivs)
 
 
 def find_gridding(pi: Permutation, m: GridMatrix) -> Optional[GriddedPermutation]:

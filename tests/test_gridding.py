@@ -1,10 +1,12 @@
 import bisect
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridletters import gridding
 from gridletters.gridding import (
     GriddedPermutation,
     SignedMatrix,
@@ -22,6 +24,7 @@ from gridletters.gridding import (
     pmm_signs,
     universal_matrix,
 )
+from gridletters.gridding import _col_reach, _row_divisions
 from gridletters.perm import Permutation, contains, parse_permutation
 
 P = parse_permutation
@@ -140,6 +143,122 @@ class TestFindGridding:
     def test_empty_permutation(self, x_matrix):
         gp = find_gridding(P(""), x_matrix)
         assert gp.col_divs == (1, 1, 1) and gp.row_divs == (1, 1, 1)
+
+
+def unpruned_divisions(pi, m):
+    """Every column tuple, with no column reach, each fed to the row search."""
+    n = len(pi)
+    position = [0] + [pi.position_of(v) for v in range(1, n + 1)]
+    if m.cols == 0:
+        tuples = [(1,)] if n == 0 else []
+    else:
+        cuts = itertools.combinations_with_replacement(range(1, n + 2), m.cols - 1)
+        tuples = [(1,) + c + (n + 1,) for c in cuts]
+    found = []
+    for cdivs in tuples:
+        column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
+        found.extend((cdivs, rdivs) for rdivs in _row_divisions(m, position, column))
+    return found
+
+
+def random_member(rng, m, n):
+    """A random permutation in Grid(m): n points, each on a random nonzero
+    cell, monotone in that cell as its entry says."""
+    per_cell = {}
+    for _ in range(n):
+        per_cell.setdefault(rng.choice(m.nonzero_cells()), []).append(None)
+    points = []
+    for (k, l), entries in per_cell.items():
+        xs = sorted(k - 1 + rng.random() for _ in entries)
+        ys = sorted((l - 1 + rng.random() for _ in entries), reverse=m.entry(k, l) == -1)
+        points.extend(zip(xs, ys))
+    points.sort()
+    yrank = {y: r for r, y in enumerate(sorted(y for _, y in points), start=1)}
+    return Permutation(tuple(yrank[y] for _, y in points))
+
+
+def fits_column_alone(pi, m, k, a, b):
+    """Some row division puts each entry at positions a..b-1 in a nonzero
+    cell of column k, increasing or decreasing there as the cell says."""
+    n = len(pi)
+    for cuts in itertools.combinations_with_replacement(range(1, n + 2), m.rows - 1):
+        rdivs = (1,) + cuts + (n + 1,)
+        last = {}
+        for i in range(a, b):
+            v = pi.at(i)
+            l = bisect.bisect_right(rdivs, v)
+            s = m.entry(k, l)
+            if s == 0 or (l in last and (v - last[l]) * s < 0):
+                break
+            last[l] = v
+        else:
+            return True
+    return False
+
+
+# The three 3x3 non-members of perfbench's gridding_ladder workload.
+ALTERNATING_NON_MEMBERS = (
+    (19, 6, 9, 12, 3, 16, 2, 1, 8, 22, 7, 20, 14, 11, 5, 4, 15, 10, 21, 13, 17, 18),
+    (21, 18, 7, 12, 20, 1, 2, 16, 8, 5, 15, 22, 19, 4, 11, 24, 23, 3, 9, 6, 14, 13, 10, 17),
+    (
+        20, 2, 18, 10, 12, 19, 11, 16, 24, 8, 6, 15, 13,
+        23, 5, 17, 1, 25, 22, 21, 9, 7, 3, 26, 14, 4,
+    ),
+)
+ALTERNATING = from_display_rows([(1, -1, 1), (-1, 1, -1), (1, -1, 1)])
+
+
+class TestColumnReach:
+    def test_agrees_with_unpruned_column_tuples(self, x_matrix, v_matrix, fan_matrix):
+        matrices = [
+            x_matrix,
+            v_matrix,
+            fan_matrix,
+            universal_matrix(2, 2),
+            ALTERNATING,
+            from_display_rows([(1, -1), (0, 0), (-1, 1)]),
+            from_display_rows([(-1, 0, 1), (1, 0, -1)]),
+            from_display_rows([]),
+        ]
+        rng = random.Random(27)
+        members = griddings = 0
+        for m in matrices:
+            for n in range(7, 11):
+                perms = [Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(3)]
+                if m.nonzero_cells():
+                    perms += [random_member(rng, m, n) for _ in range(3)]
+                for pi in perms:
+                    got = [(g.col_divs, g.row_divs) for g in all_griddings(pi, m)]
+                    assert got == unpruned_divisions(pi, m), (pi, m)
+                    members += bool(got)
+                    griddings += len(got)
+        assert members >= 7 * 4 * 3 and griddings > 1000
+
+    def test_is_the_longest_fit_of_each_column_up_to_6(self, x_matrix, fan_matrix):
+        for m in (x_matrix, fan_matrix):
+            for n in range(7):
+                for pi in perms_of(n):
+                    position = [0] + [pi.position_of(v) for v in range(1, n + 1)]
+                    for k in range(1, m.cols + 1):
+                        for a in range(1, n + 2):
+                            want = max(
+                                b for b in range(a, n + 2) if fits_column_alone(pi, m, k, a, b)
+                            )
+                            assert _col_reach(m, pi, position, k, a) == want, (pi, k, a)
+
+    def test_alternating_non_members_skip_the_row_search(self, monkeypatch):
+        calls = []
+        row_divisions = gridding._row_divisions
+
+        def counted(*args):
+            calls.append(args)
+            return row_divisions(*args)
+
+        monkeypatch.setattr(gridding, "_row_divisions", counted)
+        for values in ALTERNATING_NON_MEMBERS:
+            assert find_gridding(Permutation(values), ALTERNATING) is None
+        assert [len(v) for v in ALTERNATING_NON_MEMBERS] == [22, 24, 26] and calls == []
+        assert find_gridding(P("3142"), ALTERNATING) is not None and calls
 
 
 class TestAllGriddings:
