@@ -4,8 +4,9 @@ The standard figure of a 0/+-1 matrix is a union of open unit diagonals,
 one per nonzero cell.  A gridded permutation drawn on the figure induces,
 per column and row, a linear order of its entries by distance to a base
 corner; the gridding has a drawing exactly when the union of those local
-orders is acyclic.  Points are represented with exact Fractions so drawing
-read-backs are bit-exact.
+orders is acyclic.  A drawing is exact: integer numerators over one
+denominator, read back on those integers by one kernel, and turned into
+the Fractions of `Realization.points` only by functions returning one.
 
 Column and row signs orient everything: sign +1 reads a column left to
 right (a row bottom to top), sign -1 the reverse, and the base point of a
@@ -20,7 +21,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .gridding import (
     GriddedPermutation,
@@ -32,7 +33,7 @@ from .gridding import (
     pmm_signs,
     universal_matrix,
 )
-from .perm import Permutation
+from .perm import Permutation, position_table
 
 Point = tuple[Fraction, Fraction]
 Cell = tuple[int, int]
@@ -73,7 +74,7 @@ class LocalOrders:
 def local_orders(gp: GriddedPermutation, signs: SignedMatrix) -> LocalOrders:
     if gp.matrix != signs.matrix:
         raise ValueError("gridding and signs are over different matrices")
-    position = [0] + [gp.perm.position_of(v) for v in range(1, len(gp.perm) + 1)]
+    position = position_table(gp.perm)
     cols = _chains(range(len(position)), gp.col_divs, signs.col_signs)
     rows = _chains(position, gp.row_divs, signs.row_signs)
     return LocalOrders(len(gp.perm), tuple(map(tuple, cols)), tuple(map(tuple, rows)))
@@ -140,15 +141,15 @@ class Realization:
     points: tuple[Point, ...]
 
 
-def _point_on_cell(
-    cell: Cell, sign: int, signs: SignedMatrix, p: Union[int, Fraction], d: int = 1
-) -> Point:
-    # The point at offset p/d from the cell's base point: each coordinate is
-    # one Fraction over d, built from integers when p is an integer.
+def _point_on_cell(cell: Cell, sign: int, signs: SignedMatrix, p, d: int = 1) -> tuple:
+    # Numerators over d of the point at offset p/d from the cell's base point.
     k, l = cell
     tx = p if signs.col_signs[k - 1] == 1 else d - p
-    y = (l - 1) * d + tx if sign == 1 else l * d - tx
-    return Fraction((k - 1) * d + tx, d), Fraction(y, d)
+    return (k - 1) * d + tx, (l - 1) * d + tx if sign == 1 else l * d - tx
+
+
+def _as_points(d: int, nums: Iterable[tuple[int, int]]) -> tuple[Point, ...]:
+    return tuple((Fraction(x, d), Fraction(y, d)) for x, y in nums)
 
 
 def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization]:
@@ -166,13 +167,12 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
 
 def _draw(gp: GriddedPermutation, signs: SignedMatrix, psi: Sequence[int]) -> Realization:
     d = len(gp.perm) + 1
-    points = tuple(
+    nums = tuple(
         _point_on_cell(cell, gp.matrix.entries[cell[0] - 1][cell[1] - 1], signs, p, d)
         for cell, p in zip(gp.cells, psi)
     )
-    r = Realization(gp, signs, points)
-    check_realization(r)
-    return r
+    _check_drawing(gp, d, nums)
+    return Realization(gp, signs, _as_points(d, nums))
 
 
 def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
@@ -180,37 +180,40 @@ def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
     into a gridded permutation.  Raises ValueError if a point is off the
     figure or the set is not generic.  Every test runs on exact integers:
     the coordinates times d, the least common multiple of their denominators.
+    No re-validation: each cell's points lie on its diagonal, so are monotone
+    in its sign, and the points' cells ascend in x order and in y order.
     """
-    values, cells = _read_entries(m, points)
-    return GriddedPermutation(Permutation(values), m, *divisions_of_cells(cells, m.cols, m.rows))
+    values, cells = _read_numerators(m, *_scaled(points))
+    return GriddedPermutation._trusted(Permutation(values), m, cells)
 
 
-def _read_entries(
-    m: GridMatrix, points: Sequence[Point]
-) -> tuple[tuple[int, ...], tuple[Cell, ...]]:
-    # The values and cells of the points in x order, checked as `read_points` says.
+def _scaled(points: Sequence[Point]) -> tuple[int, list[tuple[int, int]]]:
+    # The least common denominator d of the coordinates, and their numerators over d.
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in points]
     d = math.lcm(*(q for point in ratios for _, q in point))
-    n = len(points)
-    xs, ys, cells = [], [], []
-    for (x, y), ((px, qx), (py, qy)) in zip(points, ratios):
-        sx, sy = px * (d // qx), py * (d // qy)
-        k0, rx = divmod(sx, d)
-        l0, ry = divmod(sy, d)
-        if rx == 0 or ry == 0:
-            raise ValueError(f"point ({x}, {y}) on a cell boundary")
-        if not (0 <= k0 < m.cols and 0 <= l0 < m.rows):
-            raise ValueError(f"point ({x}, {y}) outside the grid")
-        e = m.entries[k0][l0]
-        if e == 1 and ry != rx:
-            raise ValueError(f"point ({x}, {y}) off the increasing diagonal")
-        if e == -1 and d - ry != rx:
-            raise ValueError(f"point ({x}, {y}) off the decreasing diagonal")
-        if e == 0:
-            raise ValueError(f"point ({x}, {y}) in an empty cell")
-        xs.append(sx)
-        ys.append(sy)
+    return d, [(px * (d // qx), py * (d // qy)) for (px, qx), (py, qy) in ratios]
+
+
+def _read_numerators(m: GridMatrix, d: int, nums: Sequence[tuple[int, int]]) -> tuple:
+    # The values and cells of the points (x/d, y/d) in x order, checked as
+    # `read_points` says.
+    n, cells = len(nums), []
+    for x, y in nums:
+        (k0, rx), (l0, ry) = divmod(x, d), divmod(y, d)
+        inside = 0 <= k0 < m.cols and 0 <= l0 < m.rows
+        e = m.entries[k0][l0] if inside else 0
+        fault = (
+            "on a cell boundary" if rx == 0 or ry == 0
+            else "outside the grid" if not inside
+            else "off the increasing diagonal" if e == 1 and ry != rx
+            else "off the decreasing diagonal" if e == -1 and d - ry != rx
+            else "in an empty cell" if e == 0
+            else None
+        )
+        if fault:
+            raise ValueError(f"point ({Fraction(x, d)}, {Fraction(y, d)}) {fault}")
         cells.append((k0 + 1, l0 + 1))
+    xs, ys = [x for x, _ in nums], [y for _, y in nums]
     if len(set(xs)) != n or len(set(ys)) != n:
         raise ValueError("point set is not generic")
     by_x = sorted(range(n), key=xs.__getitem__)
@@ -222,11 +225,15 @@ def check_realization(r: Realization) -> None:
     """Raise unless the points are a drawing reading back to the gridding:
     the same values and cells in x order, whose per-line counts are the
     divisions."""
-    gp = r.gridded
-    if _read_entries(gp.matrix, r.points) != (gp.perm.values, gp.cells):
+    _check_drawing(r.gridded, *_scaled(r.points))
+
+
+def _check_drawing(gp: GriddedPermutation, d: int, nums: Sequence[tuple[int, int]]) -> None:
+    # The one read-back kernel: `check_realization` on the points (x/d, y/d).
+    if _read_numerators(gp.matrix, d, nums) != (gp.perm.values, gp.cells):
         raise ValueError("realization does not read back to its gridding")
     # Points are listed by entry: x must increase with position.
-    if any(p[0] > q[0] for p, q in zip(r.points, r.points[1:])):
+    if any(p[0] > q[0] for p, q in zip(nums, nums[1:])):
         raise ValueError("points are not listed in position order")
 
 
@@ -244,12 +251,9 @@ class CellWord:
 
 
 def _word_points(w: CellWord, signs: SignedMatrix) -> tuple[Point, ...]:
-    n = len(w.letters)
-    pts = []
-    for p, cell in enumerate(w.letters, start=1):
-        sign = w.matrix.entry(*cell)
-        pts.append(_point_on_cell(cell, sign, signs, p, n + 1))
-    return tuple(pts)
+    d = len(w.letters) + 1
+    cells = enumerate(w.letters, start=1)
+    return _as_points(d, (_point_on_cell(c, w.matrix.entry(*c), signs, p, d) for p, c in cells))
 
 
 def decode_word(w: CellWord, signs: SignedMatrix) -> GriddedPermutation:
@@ -304,7 +308,7 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     work = m if pmm_signs(m) is not None else double(m)
     signs = pmm_signs(work)
     n = len(pi)
-    position = [0] + [pi.position_of(v) for v in range(1, n + 1)]
+    position = position_table(pi)
     for cdivs, rows in _divisions(pi, work):
         cols = _successors(n, _chains(range(n + 1), cdivs, signs.col_signs))
         for rdivs in rows:
@@ -388,18 +392,17 @@ def embed_in_universal(
     sign, and likewise for rows, so all local orders carry over unchanged;
     the result is a valid gridding with the same consistency status.
     """
+    _, divs, s_signed = _universal_cells(gp, signs, t, u)
+    return GriddedPermutation(gp.perm, s_signed.matrix, *divs), s_signed
+
+
+def _universal_cells(gp: GriddedPermutation, signs: SignedMatrix, t: Optional[int], u):
+    # The cells `embed_in_universal` moves gp's entries to, their divisions, its target.
     a = gp.matrix.cols if t is None else t
     b = gp.matrix.rows if u is None else u
     if a < gp.matrix.cols or b < gp.matrix.rows:
         raise ValueError("universal target smaller than the gridding matrix")
-    s_signed = _universal_signed(a, b)
-    s = s_signed.matrix
-
-    def col_target(k: int) -> int:
-        return 2 * k if signs.col_signs[k - 1] == 1 else 2 * k - 1
-
-    def row_target(l: int) -> int:
-        return 2 * l - 1 if signs.row_signs[l - 1] == 1 else 2 * l
-
-    cells = [(col_target(k), row_target(l)) for k, l in gp.cells]
-    return GriddedPermutation(gp.perm, s, *divisions_of_cells(cells, 2 * a, 2 * b)), s_signed
+    # Column k goes to 2k for sign +1 and to 2k - 1 for -1; row l to 2l - 1 and 2l.
+    cs, rs = signs.col_signs, signs.row_signs
+    cells = tuple((2 * k - (cs[k - 1] == -1), 2 * l - (rs[l - 1] == 1)) for k, l in gp.cells)
+    return cells, divisions_of_cells(cells, 2 * a, 2 * b), _universal_signed(a, b)

@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .perm import Permutation, contains, parse_permutation
+from .perm import Permutation, contains, parse_permutation, position_table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,6 +148,14 @@ class GriddedPermutation:
             cells.append(cell)
         object.__setattr__(self, "cells", tuple(cells))
 
+    @classmethod
+    def _trusted(cls, perm, matrix, cells, divs=None) -> GriddedPermutation:
+        """No validation pass: only for griddings whose caller's docstring proves them valid."""
+        gp = object.__new__(cls)
+        col_divs, row_divs = divs or divisions_of_cells(cells, matrix.cols, matrix.rows)
+        vars(gp).update(perm=perm, matrix=matrix, col_divs=col_divs, row_divs=row_divs, cells=cells)
+        return gp
+
     def cell_of(self, i: int) -> tuple[int, int]:
         """Cell (column, row) of the entry at position i."""
         if not (1 <= i <= len(self.perm)):
@@ -252,7 +260,7 @@ def _divisions(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...]
     the column tuples `_cuts` allows by `_col_reach`, each with its
     `_row_divisions`.  A column reach costs O(n^2) at most, and a column
     tuple O(u n^2), plus output."""
-    position = [0] + [pi.position_of(v) for v in range(1, len(pi) + 1)]
+    position = position_table(pi)
     for cdivs in _cuts(m.cols, len(pi), lambda k, a: _col_reach(m, pi, position, k, a)):
         column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
         yield cdivs, _row_divisions(m, position, column)
@@ -260,11 +268,14 @@ def _divisions(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...]
 
 def iter_griddings(pi: Permutation, m: GridMatrix) -> Iterator[GriddedPermutation]:
     """All valid griddings, lazily, in lexicographic (col_divs, row_divs) order:
-    the divisions of `_divisions`, each built and validated.  `geom_witness`
+    the divisions of `_divisions`, built without re-validation: the row reach
+    admits a value only into a nonzero cell it keeps monotone.  `geom_witness`
     tests the divisions themselves and builds a gridding only for its witness."""
     for cdivs, rows in _divisions(pi, m):
+        cols = [bisect.bisect_right(cdivs, i) for i in range(1, len(pi) + 1)]
         for rdivs in rows:
-            yield GriddedPermutation(pi, m, cdivs, rdivs)
+            cells = tuple(zip(cols, (bisect.bisect_right(rdivs, v) for v in pi.values)))
+            yield GriddedPermutation._trusted(pi, m, cells, (cdivs, rdivs))
 
 
 def find_gridding(pi: Permutation, m: GridMatrix) -> Optional[GriddedPermutation]:

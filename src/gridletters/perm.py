@@ -41,6 +41,14 @@ class Permutation:
         return format_permutation(self)
 
 
+def position_table(pi: Permutation) -> list[int]:
+    """table[v] is the 1-based position of value v (table[0] = 0), in O(n)."""
+    table = [0] * (len(pi) + 1)
+    for i, v in enumerate(pi.values, start=1):
+        table[v] = i
+    return table
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse whitespace- or comma-separated one-line notation.
 

@@ -12,19 +12,19 @@ The output matrix is a partial multiplication matrix of size at most
 t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
 `class_experiment` shares one `letters.LetteringCache` and runs the stages up
-to psi once per contracted gridding; each row only draws pi and reads it back.
+to psi once per contracted gridding; each row only draws pi, on integers.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import itertools
+import math
 from typing import Optional, Sequence
 
 from . import geometry, letters, oracle
-from .geometry import Cell, Point, Realization
+from .geometry import Cell, Realization
 from .gridding import GriddedPermutation, GridMatrix, SignedMatrix, find_gridding
-from .gridding import divisions_of_cells
 from .letters import LetteringCache, Letterization
 from .perm import Permutation, inversion_graph
 
@@ -75,7 +75,10 @@ class ReadingOrders:
 
 def reletter(lz: Letterization, gp: GriddedPermutation) -> RefinedLetterization:
     """Attach cell coordinates to every letter of a verified lettering."""
-    g = inversion_graph(gp.perm)
+    return _reletter(lz, gp, inversion_graph(gp.perm))
+
+
+def _reletter(lz: Letterization, gp: GriddedPermutation, g) -> RefinedLetterization:
     if not letters.verify_letterization(g, lz):
         raise PipelineError("iso is not an isomorphism onto the letter graph")
     word: list[RefinedLetter] = [None] * len(gp.perm)  # type: ignore[list-item]
@@ -214,6 +217,9 @@ def contract_gridded(
     ranks after contraction, the last entry of the first and the first
     entry of the second would differ by exactly s, and the scan would
     already have joined them into one run.
+
+    No re-validation: the groups keep their order in position and value and
+    each lies in one cell, so the cells keep gp's monotone patterns and order.
     """
     values, cells = gp.perm.values, gp.cells
     n = len(values)
@@ -229,12 +235,9 @@ def contract_gridded(
         return gp, tuple(groups)
     mins = [min(values[a - 1 : b]) for a, b in groups]
     ranks = {m: r + 1 for r, m in enumerate(sorted(mins))}
-    # Each group lies in one cell, so the groups' cells fix the divisions.
-    col_divs, row_divs = divisions_of_cells(
-        (cells[a - 1] for a, _ in groups), gp.matrix.cols, gp.matrix.rows
-    )
     contracted = Permutation(tuple(ranks[m] for m in mins))
-    return GriddedPermutation(contracted, gp.matrix, col_divs, row_divs), tuple(groups)
+    sigma_cells = tuple(cells[a - 1] for a, _ in groups)
+    return GriddedPermutation._trusted(contracted, gp.matrix, sigma_cells), tuple(groups)
 
 
 def _inflate_points(
@@ -242,8 +245,9 @@ def _inflate_points(
     signs: SignedMatrix,
     psi: Sequence[int],
     groups: tuple[tuple[int, int], ...],
-) -> tuple[tuple[Cell, ...], tuple[Point, ...]]:
-    """Draw the uncontracted permutation from the contracted gridding and psi.
+) -> tuple[tuple[Cell, ...], int, tuple[tuple[int, int], ...]]:
+    """Draw the uncontracted permutation from the contracted gridding and psi:
+    its cells, and its points as integer numerators over one denominator D.
 
     Each contracted entry i becomes a short monotone run along its cell's
     diagonal, close enough to the point `geometry.realize` would draw for i
@@ -254,20 +258,22 @@ def _inflate_points(
     least 1/d inside its cell.  The q-th point of a run of length L goes to
     offset (4Lp + c(2q - L - 1))/(4Ld), with c the column sign: less than
     1/(4d) from the entry's point, under half the least gap.  A one-entry
-    group gets 4p/4d = p/d, exactly the point `realize` draws.
+    group gets 4p/4d = p/d, exactly the point `realize` draws.  The
+    numerators are over D = 4d lcm(run lengths), times lcm / L.
     """
-    d = len(sigma_final.perm) + 1
+    lcm = math.lcm(*(b - a + 1 for a, b in groups))
+    big_d = 4 * (len(sigma_final.perm) + 1) * lcm
     entries, col_signs = signs.matrix.entries, signs.col_signs
     new_cells: list[Cell] = []
-    new_points: list[Point] = []
+    nums: list[tuple[int, int]] = []
     for cell, p, (a, b) in zip(sigma_final.cells, psi, groups):
         length = b - a + 1
         sign, c = entries[cell[0] - 1][cell[1] - 1], col_signs[cell[0] - 1]
         for q in range(1, length + 1):
-            offset = 4 * length * p + c * (2 * q - length - 1)
+            offset = (4 * length * p + c * (2 * q - length - 1)) * (lcm // length)
             new_cells.append(cell)
-            new_points.append(geometry._point_on_cell(cell, sign, signs, offset, 4 * length * d))
-    return tuple(new_cells), tuple(new_points)
+            nums.append(geometry._point_on_cell(cell, sign, signs, offset, big_d))
+    return tuple(new_cells), big_d, tuple(nums)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,18 +312,22 @@ def geometrize(
     gp0 = find_gridding(pi, m)
     if gp0 is None:
         raise NotGriddableError(f"{pi} has no gridding by the given matrix")
-    return _geometrize_gridding(gp0, k_max, LetteringCache() if cache is None else cache, {})
+    core, gridded, d, nums = _geometrize_gridding(gp0, k_max, cache or LetteringCache(), {})
+    sigma_final, signed, _, lz, rlz, ro = core
+    real = Realization(gridded, signed, geometry._as_points(d, nums))
+    return GeometrizeResult(signed, gridded, real, sigma_final.perm, sigma_final, lz, rlz, ro, gp0)
 
 
 def _geometrize_contracted(sigma_gp: GriddedPermutation, k_max: int, cache: LetteringCache):
     # The stages that depend on the contracted gridding alone, up to psi.
     sigma = sigma_gp.perm
-    lz = cache.find_lettering(inversion_graph(sigma), k_max)
+    g = inversion_graph(sigma)
+    lz = cache.find_lettering(g, k_max)
     if lz is None:
         raise LetteringNotFoundError(
             f"inversion graph of {sigma} has no lettering with {k_max} letters"
         )
-    rlz = reletter(lz, sigma_gp)
+    rlz = _reletter(lz, sigma_gp, g)
     ro = reading_orders(rlz, sigma_gp)
     regridded = regrid(sigma_gp, rlz)
     signed = assign_signs(regridded, rlz, ro)
@@ -328,12 +338,11 @@ def _geometrize_contracted(sigma_gp: GriddedPermutation, k_max: int, cache: Lett
     return sigma_final, signed, psi, lz, rlz, ro
 
 
-def _geometrize_gridding(
-    gp0: GriddedPermutation, k_max: int, cache: LetteringCache, cores: dict
-) -> GeometrizeResult:
-    # Everything in `geometrize` after the gridding search.  `cores` keeps each
-    # contracted gridding's core or PipelineError (raised afresh per row); each
-    # row draws pi once, and a failed read-back is a PipelineError too.
+def _geometrize_gridding(gp0: GriddedPermutation, k_max: int, cache: LetteringCache, cores: dict):
+    # `geometrize` after the gridding search: the core, pi's gridding and its
+    # drawing, numerators nums over d.  `cores` keeps each contracted gridding's
+    # core or PipelineError (raised afresh per row).  A failed read-back is a
+    # PipelineError too; only a valid gridding, built unchecked, passes it.
     pi = gp0.perm
     sigma_gp, groups = contract_gridded(gp0)
     core = cores.get(sigma_gp)
@@ -344,18 +353,14 @@ def _geometrize_gridding(
             core = cores[sigma_gp] = exc
     if isinstance(core, PipelineError):
         raise type(core)(*core.args) from core
-    sigma_final, signed, psi, lz, rlz, ro = core
-    cells, points = _inflate_points(sigma_final, signed, psi, groups)
-    t, u = signed.matrix.cols, signed.matrix.rows
-    gridded = GriddedPermutation(pi, signed.matrix, *divisions_of_cells(cells, t, u))
-    realization = Realization(gridded, signed, points)
+    sigma_final, signed, psi = core[:3]
+    cells, d, nums = _inflate_points(sigma_final, signed, psi, groups)
+    gridded = GriddedPermutation._trusted(pi, signed.matrix, cells)
     try:
-        geometry.check_realization(realization)
+        geometry._check_drawing(gridded, d, nums)
     except ValueError as exc:
         raise PipelineError(f"drawing of {pi} does not read back: {exc}") from exc
-    return GeometrizeResult(
-        signed, gridded, realization, sigma_final.perm, sigma_final, lz, rlz, ro, gp0
-    )
+    return core, gridded, d, nums
 
 
 def _size_bound(m: GridMatrix, r: int) -> tuple[int, int]:
@@ -446,7 +451,7 @@ def class_experiment(
     cap = oracle.GEOM_ORACLE_MAX_LENGTH
     if verify_with_oracle and n_max > cap:
         raise ValueError(f"geometric membership oracle capped at length {cap}")
-    bound_cols, bound_rows = _size_bound(m, r)
+    bound = bound_cols, bound_rows = _size_bound(m, r)
     cache = LetteringCache()
     cores: dict[GriddedPermutation, tuple | PipelineError] = {}
     rows: list[ExperimentRow] = []
@@ -466,21 +471,16 @@ def class_experiment(
                 skipped_lettericity += 1
                 continue
             try:
-                result = _geometrize_gridding(gp0, r, cache, cores)
+                (_, signed, *_), gridded, d, nums = _geometrize_gridding(gp0, r, cache, cores)
             except PipelineError as exc:
                 rows.append(
                     ExperimentRow(pi, lett, 0, 0, False, False, False, None, str(exc))
                 )
                 continue
-            cols = result.signed.matrix.cols
-            nrows = result.signed.matrix.rows
+            cols, nrows = signed.matrix.cols, signed.matrix.rows
             bound_ok = cols <= bound_cols and nrows <= bound_rows
-            universal_ok = bound_ok and _universal_ok(result, bound_cols, bound_rows)
-            oracle_ok = (
-                oracle.geom_member_oracle(pi, result.signed.matrix)
-                if verify_with_oracle
-                else None
-            )
+            universal_ok = bound_ok and _universal_ok(gridded, signed, d, nums, *bound)
+            oracle_ok = oracle.geom_member_oracle(pi, signed.matrix) if verify_with_oracle else None
             rows.append(
                 ExperimentRow(pi, lett, cols, nrows, bound_ok, True, universal_ok, oracle_ok)
             )
@@ -495,25 +495,28 @@ def class_experiment(
     )
 
 
-def _universal_ok(result: GeometrizeResult, t: int, u: int) -> bool:
-    """Whether the drawing `geometrize` returned, moved onto the universal
-    figure of t x u blocks, reads back to the embedded gridding of pi.
+def _universal_ok(
+    gp: GriddedPermutation, signs: SignedMatrix, d: int, nums: Sequence, t: int, u: int
+) -> bool:
+    """Whether gp's drawing, the numerators nums over d, moved onto the
+    universal figure of t x u blocks, reads back to the embedded gridding.
 
     `embed_in_universal` sends column k to the column K of block k that has
     the same sign, and row l to the row L of block l likewise; the universal
     matrix is col sign times row sign, so cell (K, L) carries the diagonal
-    of cell (k, l), and shifting each point by (K - k, L - l) moves it onto
-    that diagonal.  A point set on the full-bound universal figure that
-    reads back to the embedding is a complete membership witness.
+    of cell (k, l), and shifting each point by ((K - k)d, (L - l)d) moves it
+    onto that diagonal.  A point set on the full-bound universal figure that
+    reads back to the embedding is a complete membership witness, and that
+    read-back proves the embedding built before it without re-validation.
     """
-    real = result.realization
     try:
-        gp_s, signs_s = geometry.embed_in_universal(result.gridded, result.signed, t, u)
-        points = tuple(
-            (x + (K - k), y + (L - l))
-            for (x, y), (k, l), (K, L) in zip(real.points, real.gridded.cells, gp_s.cells)
-        )
-        geometry.check_realization(Realization(gp_s, signs_s, points))
+        cells, divs, s_signed = geometry._universal_cells(gp, signs, t, u)
+        embedded = GriddedPermutation._trusted(gp.perm, s_signed.matrix, cells, divs)
+        shifted = [
+            (x + (K - k) * d, y + (L - l) * d)
+            for (x, y), (k, l), (K, L) in zip(nums, gp.cells, cells)
+        ]
+        geometry._check_drawing(embedded, d, shifted)
     except ValueError:
         return False
     return True

@@ -293,6 +293,27 @@ class TestGriddedPermutation:
             GriddedPermutation(P("1"), one_cell, (1, 1), (1, 2))
 
 
+class TestTrustedConstruction:
+    def test_equals_the_validating_constructor_up_to_6(
+        self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix
+    ):
+        # iter_griddings builds its griddings with the trusted constructor;
+        # each equals the validated gridding of its divisions, cells and all,
+        # and so does the trusted gridding built from those cells alone.
+        count = 0
+        for m in (x_matrix, v_matrix, fan_matrix, non_pmm_matrix):
+            for n in range(7):
+                for pi in perms_of(n):
+                    for gp in iter_griddings(pi, m):
+                        checked = GriddedPermutation(pi, m, gp.col_divs, gp.row_divs)
+                        assert gp == checked and gp.cells == checked.cells, gp
+                        from_cells = GriddedPermutation._trusted(pi, m, checked.cells)
+                        assert from_cells == checked and from_cells.cells == checked.cells
+                        assert repr(gp) == repr(checked) and hash(gp) == hash(checked)
+                        count += 1
+        assert count == 2909 + 127 + 7587 + 2909
+
+
 class TestCellTable:
     def test_cells_match_column_and_row_up_to_6(
         self, x_matrix, v_matrix, fan_matrix, non_pmm_matrix

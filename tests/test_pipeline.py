@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from gridletters.geometry import consistency, geom_member, local_orders
 from gridletters.gridding import (
     GridMatrix,
     GriddedPermutation,
+    divisions_of_cells,
     find_gridding,
     grid_matrix,
     iter_griddings,
@@ -45,6 +47,15 @@ DIAG3 = grid_matrix([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
 def perms_of(n):
     return (Permutation(v) for v in itertools.permutations(range(1, n + 1)))
+
+
+def row_drawing(pi, m, r, cache=None):
+    """A sweep row: pi's gridding, its signs and its integer drawing, the
+    numerators nums over the one denominator d."""
+    gp0 = find_gridding(pi, m)
+    cache = LetteringCache() if cache is None else cache
+    (_, signed, *_), gridded, d, nums = pipeline._geometrize_gridding(gp0, r, cache, {})
+    return gridded, signed, d, nums
 
 
 def skew_merged_upto(n_max, x_matrix):
@@ -548,27 +559,26 @@ class TestClassExperiment:
         assert "size bound" in report.summary()
 
     def test_universal_check_rejects_a_tampered_gridding(self, x_matrix):
-        result = geometrize(P("25314"), x_matrix, 3)
+        gridded, signed, d, nums = row_drawing(P("25314"), x_matrix, 3)
         # Another gridding of the same permutation by the output matrix,
         # with inconsistent local orders: it has no drawing.
         bad = next(
             gp
-            for gp in iter_griddings(result.gridded.perm, result.signed.matrix)
-            if geometry.realize(gp, result.signed) is None
+            for gp in iter_griddings(gridded.perm, signed.matrix)
+            if geometry.realize(gp, signed) is None
         )
-        tampered = dataclasses.replace(result, gridded=bad)
-        assert _universal_ok(result, 26, 26)
-        assert not _universal_ok(tampered, 26, 26)
+        assert _universal_ok(gridded, signed, d, nums, 26, 26)
+        assert not _universal_ok(bad, signed, d, nums, 26, 26)
 
     def test_failed_read_back_is_a_row_not_a_crash(self, x_matrix, monkeypatch, tmp_path, capsys):
-        check_realization = geometry.check_realization
+        check_drawing = geometry._check_drawing
 
-        def failing_check(r):
-            if len(r.points) >= 3:
+        def failing_check(gp, d, nums):
+            if len(nums) >= 3:
                 raise ValueError("forced read-back failure")
-            check_realization(r)
+            check_drawing(gp, d, nums)
 
-        monkeypatch.setattr(geometry, "check_realization", failing_check)
+        monkeypatch.setattr(geometry, "_check_drawing", failing_check)
         report = class_experiment(3, x_matrix, 2)
         long_rows = [row for row in report.rows if len(row.perm) >= 3]
         assert long_rows
@@ -584,14 +594,14 @@ class TestClassExperiment:
         # 213, 2134, 2314 and 3214 share one contracted gridding, and 3124
         # contracts to 213 on another; only the drawings of 2134 and 3124 fail
         # to read back, and each row reads back its own drawing.
-        check_realization = geometry.check_realization
+        check_drawing = geometry._check_drawing
 
-        def failing_check(r):
-            if r.gridded.perm in (P("2134"), P("3124")):
+        def failing_check(gp, d, nums):
+            if gp.perm in (P("2134"), P("3124")):
                 raise ValueError("forced read-back failure")
-            check_realization(r)
+            check_drawing(gp, d, nums)
 
-        monkeypatch.setattr(geometry, "check_realization", failing_check)
+        monkeypatch.setattr(geometry, "_check_drawing", failing_check)
         report = class_experiment(4, x_matrix, 3)
         failed = {str(row.perm): row.note for row in report.rows if not row.ok}
         assert failed == {
@@ -617,9 +627,12 @@ class TestClassExperiment:
     def test_one_core_per_contracted_gridding(self, x_matrix, monkeypatch):
         # Lettering, relettering and psi depend on the contracted gridding
         # alone, so the n = 6 sweep runs each once per distinct one; nothing
-        # draws the contracted gridding, and each row reads back twice: its
-        # own drawing and that drawing moved onto the universal figure.
-        geometry_names = ("consistency", "realize", "_draw", "check_realization")
+        # draws the contracted gridding, and each row reads back twice, on
+        # integers: its own drawing and that drawing moved onto the universal
+        # figure.  The relettering check reuses the lettering query's graph.
+        geometry_names = (
+            "consistency", "realize", "_draw", "check_realization", "_check_drawing"
+        )
         calls = dict.fromkeys(("find_lettering", "reletter") + geometry_names, 0)
 
         def counting(name, f):
@@ -631,7 +644,7 @@ class TestClassExperiment:
 
         lettering = LetteringCache.find_lettering
         monkeypatch.setattr(LetteringCache, "find_lettering", counting("find_lettering", lettering))
-        monkeypatch.setattr(pipeline, "reletter", counting("reletter", reletter))
+        monkeypatch.setattr(pipeline, "_reletter", counting("reletter", pipeline._reletter))
         for name in geometry_names:
             monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
         report = class_experiment(6, x_matrix, 3)
@@ -643,7 +656,8 @@ class TestClassExperiment:
             "consistency": 128,
             "realize": 0,
             "_draw": 0,
-            "check_realization": 2 * 457,
+            "check_realization": 0,
+            "_check_drawing": 2 * 457,
         }
 
     def test_one_gridding_search_per_permutation(self, x_matrix, monkeypatch):
@@ -657,6 +671,51 @@ class TestClassExperiment:
         report = class_experiment(5, x_matrix, 3)
         assert report.rows
         assert len(calls) == report.scanned
+
+    def test_sweeps_agree_with_every_gridding_validated(
+        self, x_matrix, v_matrix, fan_matrix, monkeypatch
+    ):
+        # The n = 6 sweeps again, with the trusted constructor swapped for the
+        # validating one: every gridding it built is valid, with its cells.
+        runs = ((x_matrix, 3, True), (v_matrix, 4, False), (fan_matrix, 4, False))
+        trusted = [repr(class_experiment(6, m, r, oracle)) for m, r, oracle in runs]
+        built = []
+
+        def validating(cls, perm, matrix, cells, divs=None):
+            divs = divs or divisions_of_cells(cells, matrix.cols, matrix.rows)
+            gp = cls(perm, matrix, *divs)
+            assert gp.cells == cells, gp
+            built.append(gp)
+            return gp
+
+        monkeypatch.setattr(GriddedPermutation, "_trusted", classmethod(validating))
+        assert [repr(class_experiment(6, m, r, oracle)) for m, r, oracle in runs] == trusted
+        assert len(built) > 3 * 457
+
+    def test_sweep_builds_no_fraction(self, x_matrix, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results skip __new__
+            coprime = Fraction._from_coprime_ints
+
+            def counting_coprime(cls, *args):
+                made.append(args)
+                return coprime(*args)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        # The counter sees the points that geometrize returns.
+        assert geometrize(P("25314"), x_matrix, 3).realization.points[0][0] == Fraction(1, 6)
+        assert made
+        made.clear()
+        report = class_experiment(6, x_matrix, 3, verify_with_oracle=True)
+        assert len(report.rows) == 457 and report.ok
+        assert made == []
 
     def test_shared_cache_gives_the_same_results(self, x_matrix):
         cache = LetteringCache()
@@ -717,11 +776,15 @@ class TestDrawingTailAgainstReferences:
                     sigma_real = geometry.realize(sigma_gp, signed)
                     groups = contract_gridded(result.initial_gridding)[1]
                     psi = consistency(local_orders(sigma_gp, signed))
-                    got = _inflate_points(sigma_gp, signed, psi, groups)
-                    assert got == reference_inflate_points(sigma_real, groups), pi
-                    assert got[1] == result.realization.points
+                    cells, d, nums = _inflate_points(sigma_gp, signed, psi, groups)
+                    lcm = math.lcm(*(b - a + 1 for a, b in groups))
+                    assert d == 4 * (len(sigma_gp.perm) + 1) * lcm
+                    assert all(type(c) is int for point in nums for c in point)
+                    points = tuple((Fraction(x, d), Fraction(y, d)) for x, y in nums)
+                    assert (cells, points) == reference_inflate_points(sigma_real, groups), pi
+                    assert points == result.realization.points
                     inflated += len(groups) < n
-                    assert _universal_ok(result, *bound) is True
+                    assert _universal_ok(result.gridded, signed, d, nums, *bound) is True
                     assert reference_universal_ok(result, *bound) is True
                     rows += 1
                     if m is x_matrix and n <= 4:
@@ -730,7 +793,7 @@ class TestDrawingTailAgainstReferences:
                         for gp in iter_griddings(pi, result.signed.matrix):
                             if geometry.realize(gp, result.signed) is None:
                                 bad = dataclasses.replace(result, gridded=gp)
-                                assert not _universal_ok(bad, *bound)
+                                assert not _universal_ok(gp, signed, d, nums, *bound)
                                 assert not reference_universal_ok(bad, *bound)
                                 tampered += 1
         assert rows == 458 + 64 + 710
@@ -739,41 +802,93 @@ class TestDrawingTailAgainstReferences:
 
 class TestUniversalCheckReadsTheDrawing:
     @pytest.fixture
-    def result(self, x_matrix):
-        return geometrize(P("13425"), x_matrix, 3)
+    def row(self, x_matrix):
+        return row_drawing(P("13425"), x_matrix, 3)
 
-    @staticmethod
-    def with_points(result, points):
-        return dataclasses.replace(
-            result, realization=dataclasses.replace(result.realization, points=tuple(points))
-        )
+    def test_rejects_a_point_moved_off_its_diagonal(self, row):
+        gridded, signed, d, nums = row
+        assert _universal_ok(gridded, signed, d, nums, 26, 26)
+        for i, (x, y) in enumerate(nums):
+            moved = list(nums)
+            moved[i] = (x, y + 1)
+            assert not _universal_ok(gridded, signed, d, moved, 26, 26), i
 
-    def test_rejects_a_point_moved_off_its_diagonal(self, result):
-        assert _universal_ok(result, 26, 26)
-        for i, (x, y) in enumerate(result.realization.points):
-            points = list(result.realization.points)
-            points[i] = (x, y + Fraction(1, 1000))
-            assert not _universal_ok(self.with_points(result, points), 26, 26), i
-
-    def test_rejects_two_points_swapped(self, result):
-        assert _universal_ok(result, 26, 26)
-        real = result.realization
+    def test_rejects_two_points_swapped(self, row):
+        gridded, signed, d, nums = row
+        assert _universal_ok(gridded, signed, d, nums, 26, 26)
         same_cell = 0
-        for i, j in itertools.combinations(range(len(real.points)), 2):
-            points = list(real.points)
-            points[i], points[j] = points[j], points[i]
-            assert not _universal_ok(self.with_points(result, points), 26, 26), (i, j)
-            same_cell += real.gridded.cell_of(i + 1) == real.gridded.cell_of(j + 1)
+        for i, j in itertools.combinations(range(len(nums)), 2):
+            moved = list(nums)
+            moved[i], moved[j] = moved[j], moved[i]
+            assert not _universal_ok(gridded, signed, d, moved, 26, 26), (i, j)
+            same_cell += gridded.cell_of(i + 1) == gridded.cell_of(j + 1)
         assert same_cell > 0
 
-    def test_rejects_a_gridding_its_drawing_does_not_read_back_to(self, result):
+    def test_rejects_a_gridding_its_drawing_does_not_read_back_to(self, row, x_matrix):
         # Another gridding by the output matrix that has a drawing of its
         # own: a fresh drawing accepts it, the returned drawing does not.
+        gridded, signed, d, nums = row
         other = next(
             gp
-            for gp in iter_griddings(result.gridded.perm, result.signed.matrix)
-            if gp != result.gridded and geometry.realize(gp, result.signed) is not None
+            for gp in iter_griddings(gridded.perm, signed.matrix)
+            if gp != gridded and geometry.realize(gp, signed) is not None
         )
-        swapped = dataclasses.replace(result, gridded=other)
+        swapped = dataclasses.replace(geometrize(P("13425"), x_matrix, 3), gridded=other)
         assert reference_universal_ok(swapped, 26, 26)
-        assert not _universal_ok(swapped, 26, 26)
+        assert not _universal_ok(other, signed, d, nums, 26, 26)
+
+
+class TestIntegerKernelRejectsTamperedDrawings:
+    """Each row's integer drawing, tampered with, fails `_universal_ok`."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, x_matrix, v_matrix, fan_matrix):
+        out = []
+        for m, r in ((x_matrix, 3), (v_matrix, 4), (fan_matrix, 4)):
+            bound = (m.cols * (1 + 2 * m.rows * r), m.rows * (1 + 2 * m.cols * r))
+            cache = LetteringCache()
+            for n in range(1, 6):
+                for pi in perms_of(n):
+                    if find_gridding(pi, m) is not None:
+                        out.append((row_drawing(pi, m, r, cache), bound))
+        assert len(out) == 117 + 31 + 146
+        return out
+
+    def test_untampered_rows_pass(self, rows):
+        for (gridded, signed, d, nums), bound in rows:
+            assert _universal_ok(gridded, signed, d, nums, *bound), gridded
+
+    def test_a_numerator_moved_off_its_diagonal(self, rows):
+        for (gridded, signed, d, nums), bound in rows:
+            for i, (x, y) in enumerate(nums):
+                for moved in ((x + 1, y), (x, y - 1)):
+                    tampered = nums[:i] + (moved,) + nums[i + 1 :]
+                    assert not _universal_ok(gridded, signed, d, tampered, *bound), (gridded, i)
+
+    def test_two_x_numerators_swapped(self, rows):
+        for (gridded, signed, d, nums), bound in rows:
+            for i, j in itertools.combinations(range(len(nums)), 2):
+                tampered = list(nums)
+                tampered[i] = (nums[j][0], nums[i][1])
+                tampered[j] = (nums[i][0], nums[j][1])
+                assert not _universal_ok(gridded, signed, d, tampered, *bound), (gridded, i, j)
+
+    def test_a_point_moved_onto_a_cell_boundary(self, rows):
+        for (gridded, signed, d, nums), bound in rows:
+            for i, (x, y) in enumerate(nums):
+                for moved in ((x - x % d, y), (x, y - y % d + d)):
+                    tampered = nums[:i] + (moved,) + nums[i + 1 :]
+                    with pytest.raises(ValueError, match="on a cell boundary"):
+                        geometry._check_drawing(gridded, d, tampered)
+                    assert not _universal_ok(gridded, signed, d, tampered, *bound), (gridded, i)
+
+    def test_the_drawing_paired_with_another_gridding(self, rows):
+        others = 0
+        for (gridded, signed, d, nums), bound in rows:
+            if len(nums) > 4:
+                continue
+            for gp in iter_griddings(gridded.perm, signed.matrix):
+                if gp != gridded:
+                    assert not _universal_ok(gp, signed, d, nums, *bound), (gridded, gp)
+                    others += 1
+        assert others > 0
