@@ -4,9 +4,11 @@ The standard figure of a 0/+-1 matrix is a union of open unit diagonals,
 one per nonzero cell.  A gridded permutation drawn on the figure induces,
 per column and row, a linear order of its entries by distance to a base
 corner; the gridding has a drawing exactly when the union of those local
-orders is acyclic.  A drawing is exact: integer numerators over one
-denominator, read back on those integers by one kernel, and turned into
-the Fractions of `Realization.points` only by functions returning one.
+orders is acyclic.  One rule, `_drawing`, draws for `realize`, for cell
+words (the same drawing by word position) and for the pipeline's rows.  A
+drawing is exact: integer numerators over one denominator, read back on
+those integers by one kernel, and turned into the Fractions of
+`Realization.points` only by functions returning one.
 
 Column and row signs orient everything: sign +1 reads a column left to
 right (a row bottom to top), sign -1 the reverse, and the base point of a
@@ -28,7 +30,6 @@ from .gridding import (
     GridMatrix,
     SignedMatrix,
     _divisions,
-    divisions_of_cells,
     double,
     pmm_signs,
     universal_matrix,
@@ -141,11 +142,42 @@ class Realization:
     points: tuple[Point, ...]
 
 
-def _point_on_cell(cell: Cell, sign: int, signs: SignedMatrix, p, d: int = 1) -> tuple:
+def _point_on_cell(cell: Cell, sign: int, signs: SignedMatrix, p, d: int) -> tuple:
     # Numerators over d of the point at offset p/d from the cell's base point.
     k, l = cell
     tx = p if signs.col_signs[k - 1] == 1 else d - p
     return (k - 1) * d + tx, (l - 1) * d + tx if sign == 1 else l * d - tx
+
+
+def _drawing(
+    cells: Sequence[Cell], signs: SignedMatrix, psi: Sequence[int], runs: Sequence[int]
+) -> tuple[tuple[Cell, ...], int, tuple[tuple[int, int], ...]]:
+    """The one drawing rule: entry i of cells[i-1] at offset psi(i)/(n + 1)
+    from its cell's base point, inflated to a monotone run of runs[i-1]
+    entries along the cell's diagonal.  Returns the drawn entries' cells and
+    their points as integer numerators over one denominator D.
+
+    psi is a bijection onto 1..n, with d = n + 1; so every coordinate of the
+    uninflated drawing is an integer over d, distinct coordinates differ by
+    at least 1/d, and every point lies at least 1/d inside its cell.  The
+    q-th point of a run of length L goes to offset (4Lp + c(2q - L - 1))/(4Ld),
+    with p = psi(i) and c the column sign: less than 1/(4d) from the entry's
+    point, under half the least gap, so every reading order outside the run
+    is untouched.  A run of one gets 4p/4d = p/d.  The numerators are over
+    D = 4d lcm(runs), times lcm / L.
+    """
+    lcm = math.lcm(*runs)
+    big_d = 4 * (len(psi) + 1) * lcm
+    entries, col_signs = signs.matrix.entries, signs.col_signs
+    drawn: list[Cell] = []
+    nums: list[tuple[int, int]] = []
+    for cell, p, length in zip(cells, psi, runs):
+        sign, c = entries[cell[0] - 1][cell[1] - 1], col_signs[cell[0] - 1]
+        for q in range(1, length + 1):
+            offset = (4 * length * p + c * (2 * q - length - 1)) * (lcm // length)
+            drawn.append(cell)
+            nums.append(_point_on_cell(cell, sign, signs, offset, big_d))
+    return tuple(drawn), big_d, tuple(nums)
 
 
 def _as_points(d: int, nums: Iterable[tuple[int, int]]) -> tuple[Point, ...]:
@@ -166,11 +198,7 @@ def realize(gp: GriddedPermutation, signs: SignedMatrix) -> Optional[Realization
 
 
 def _draw(gp: GriddedPermutation, signs: SignedMatrix, psi: Sequence[int]) -> Realization:
-    d = len(gp.perm) + 1
-    nums = tuple(
-        _point_on_cell(cell, gp.matrix.entries[cell[0] - 1][cell[1] - 1], signs, p, d)
-        for cell, p in zip(gp.cells, psi)
-    )
+    _, d, nums = _drawing(gp.cells, signs, psi, (1,) * len(psi))
     _check_drawing(gp, d, nums)
     return Realization(gp, signs, _as_points(d, nums))
 
@@ -183,7 +211,12 @@ def read_points(m: GridMatrix, points: Sequence[Point]) -> GriddedPermutation:
     No re-validation: each cell's points lie on its diagonal, so are monotone
     in its sign, and the points' cells ascend in x order and in y order.
     """
-    values, cells = _read_numerators(m, *_scaled(points))
+    return _read_back(m, *_scaled(points))
+
+
+def _read_back(m: GridMatrix, d: int, nums: Sequence[tuple[int, int]]) -> GriddedPermutation:
+    # `read_points` on the points (x/d, y/d).
+    values, cells = _read_numerators(m, d, nums)
     return GriddedPermutation._trusted(Permutation(values), m, cells)
 
 
@@ -250,10 +283,13 @@ class CellWord:
                 raise ValueError(f"letter names the empty cell ({k}, {l})")
 
 
-def _word_points(w: CellWord, signs: SignedMatrix) -> tuple[Point, ...]:
-    d = len(w.letters) + 1
-    cells = enumerate(w.letters, start=1)
-    return _as_points(d, (_point_on_cell(c, w.matrix.entry(*c), signs, p, d) for p, c in cells))
+def _word_points(w: CellWord, signs: SignedMatrix) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # The word's drawing: position p at offset p/(n + 1) in its letter's
+    # cell, as numerators over one denominator.
+    if w.matrix != signs.matrix:
+        raise ValueError("word and signs are over different matrices")
+    n = len(w.letters)
+    return _drawing(w.letters, signs, range(1, n + 1), (1,) * n)[1:]
 
 
 def decode_word(w: CellWord, signs: SignedMatrix) -> GriddedPermutation:
@@ -265,17 +301,14 @@ def decode_word(w: CellWord, signs: SignedMatrix) -> GriddedPermutation:
     >>> decode_word(CellWord(m, ((1, 1),) * 3), pmm_signs(m)).perm.values
     (3, 2, 1)
     """
-    if w.matrix != signs.matrix:
-        raise ValueError("word and signs are over different matrices")
-    return read_points(w.matrix, _word_points(w, signs))
+    return _read_back(w.matrix, *_word_points(w, signs))
 
 
 def word_index_map(w: CellWord, signs: SignedMatrix) -> tuple[int, ...]:
     """Permutation index corresponding to each word position (by x rank)."""
-    pts = _word_points(w, signs)
-    xs = sorted(p[0] for p in pts)
-    rank = {x: i + 1 for i, x in enumerate(xs)}
-    return tuple(rank[p[0]] for p in pts)
+    _, nums = _word_points(w, signs)
+    rank = {x: i for i, (x, _) in enumerate(sorted(nums), start=1)}
+    return tuple(rank[x] for x, _ in nums)
 
 
 def encode_gridded(gp: GriddedPermutation, signs: SignedMatrix) -> CellWord:
@@ -305,8 +338,8 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     by component, and another sign vector only reverses every chain of some
     components, which keeps the union acyclic or not.
     """
-    work = m if pmm_signs(m) is not None else double(m)
-    signs = pmm_signs(work)
+    signs = pmm_signs(m) or pmm_signs(double(m))
+    work = signs.matrix
     n = len(pi)
     position = position_table(pi)
     for cdivs, rows in _divisions(pi, work):
@@ -390,14 +423,11 @@ def embed_in_universal(
 
     Column k goes to whichever column of its 2x2 block column shares its
     sign, and likewise for rows, so all local orders carry over unchanged;
-    the result is a valid gridding with the same consistency status.
+    the result is a valid gridding with the same consistency status, built
+    without re-validation: its cells keep their order, contents and signs.
     """
-    _, divs, s_signed = _universal_cells(gp, signs, t, u)
-    return GriddedPermutation(gp.perm, s_signed.matrix, *divs), s_signed
-
-
-def _universal_cells(gp: GriddedPermutation, signs: SignedMatrix, t: Optional[int], u):
-    # The cells `embed_in_universal` moves gp's entries to, their divisions, its target.
+    if gp.matrix != signs.matrix:
+        raise ValueError("gridding and signs are over different matrices")
     a = gp.matrix.cols if t is None else t
     b = gp.matrix.rows if u is None else u
     if a < gp.matrix.cols or b < gp.matrix.rows:
@@ -405,4 +435,5 @@ def _universal_cells(gp: GriddedPermutation, signs: SignedMatrix, t: Optional[in
     # Column k goes to 2k for sign +1 and to 2k - 1 for -1; row l to 2l - 1 and 2l.
     cs, rs = signs.col_signs, signs.row_signs
     cells = tuple((2 * k - (cs[k - 1] == -1), 2 * l - (rs[l - 1] == 1)) for k, l in gp.cells)
-    return cells, divisions_of_cells(cells, 2 * a, 2 * b), _universal_signed(a, b)
+    s_signed = _universal_signed(a, b)
+    return GriddedPermutation._trusted(gp.perm, s_signed.matrix, cells), s_signed

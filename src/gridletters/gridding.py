@@ -150,7 +150,7 @@ class GriddedPermutation:
 
     @classmethod
     def _trusted(cls, perm, matrix, cells, divs=None) -> GriddedPermutation:
-        """No validation pass: only for griddings whose caller's docstring proves them valid."""
+        """No validation pass: only for griddings proven valid where they are built."""
         gp = object.__new__(cls)
         col_divs, row_divs = divs or divisions_of_cells(cells, matrix.cols, matrix.rows)
         vars(gp).update(perm=perm, matrix=matrix, col_divs=col_divs, row_divs=row_divs, cells=cells)
@@ -342,50 +342,30 @@ class SignedMatrix:
 def pmm_signs(m: GridMatrix) -> Optional[SignedMatrix]:
     """Column and row signs factoring every nonzero entry, or None.
 
-    Signs propagate from the least unassigned column (then row) of each
-    connected component, seeded +1, so the answer is deterministic (the
-    first of `iter_sign_vectors`); free rows and columns get +1.
+    An entry ties its row's sign to its column's.  Signs propagate breadth
+    first from the least unassigned column (then row) of each connected
+    component, seeded +1, so the answer is deterministic; free rows and
+    columns get +1.  None at the first conflicting tie.
     """
-    return next(iter_sign_vectors(m), None)
-
-
-def iter_sign_vectors(m: GridMatrix) -> Iterator[SignedMatrix]:
-    """All sign vectors consistent with the nonzero entries of m.
-
-    Each connected component of the nonzero pattern contributes one free
-    global flip; untouched rows and columns are fully free.  Yields nothing
-    when m is not a partial multiplication matrix.
-    """
-    t, u = m.cols, m.rows
-    signs: list[Optional[int]] = [None] * (t + u)  # columns then rows
-    component = [-1] * (t + u)
-
-    def neighbors(node: int) -> list[tuple[int, int]]:
-        if node < t:
-            return [(t + l, e) for l, e in enumerate(m.entries[node]) if e]
-        return [(k, col[node - t]) for k, col in enumerate(m.entries) if col[node - t]]
-
-    comp_count = 0
-    for seed in range(t + u):
-        if signs[seed] is not None:
+    t = m.cols
+    signs = [0] * (t + m.rows)  # columns then rows; 0 while unassigned
+    for seed in range(len(signs)):
+        if signs[seed]:
             continue
         signs[seed] = 1
-        component[seed] = comp_count
         queue = [seed]
-        while queue:
-            node = queue.pop(0)
-            for other, e in neighbors(node):
-                want = e * signs[node]
-                if signs[other] is None:
-                    signs[other] = want
-                    component[other] = comp_count
+        for node in queue:  # grows while it is walked
+            if node < t:
+                ties = [(t + l, e) for l, e in enumerate(m.entries[node]) if e]
+            else:
+                ties = [(k, col[node - t]) for k, col in enumerate(m.entries) if col[node - t]]
+            for other, e in ties:
+                if not signs[other]:
+                    signs[other] = e * signs[node]
                     queue.append(other)
-                elif signs[other] != want:
-                    return
-        comp_count += 1
-    for flips in itertools.product((1, -1), repeat=comp_count):
-        flipped = [signs[i] * flips[component[i]] for i in range(t + u)]
-        yield SignedMatrix(m, tuple(flipped[:t]), tuple(flipped[t:]))
+                elif signs[other] != e * signs[node]:
+                    return None
+    return SignedMatrix(m, tuple(signs[:t]), tuple(signs[t:]))
 
 
 def double(m: GridMatrix) -> GridMatrix:

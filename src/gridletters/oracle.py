@@ -100,15 +100,11 @@ def lettericity_oracle(g: graphs.SimpleGraph) -> int:
         return 0
     n = g.order
     edge_count = len(g.edges)
+    pairs = list(itertools.combinations(range(n), 2))
     for k in range(1, n + 1):
         for decoder in _decoder_reps(k):
             for word in itertools.product(range(k), repeat=n):
-                edges = [
-                    (i + 1, j + 1)
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                    if (word[i], word[j]) in decoder
-                ]
+                edges = [(i + 1, j + 1) for i, j in pairs if (word[i], word[j]) in decoder]
                 if len(edges) != edge_count:
                     continue
                 candidate = graphs.graph(n, edges)

@@ -33,10 +33,6 @@ class Permutation:
         """Value at 1-based position i."""
         return self.values[i - 1]
 
-    def position_of(self, value: int) -> int:
-        """1-based position of a value."""
-        return self.values.index(value) + 1
-
     def __str__(self) -> str:
         return format_permutation(self)
 

@@ -12,18 +12,18 @@ The output matrix is a partial multiplication matrix of size at most
 t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
 `class_experiment` shares one `letters.LetteringCache` and runs the stages up
-to psi once per contracted gridding; each row only draws pi, on integers.
+to psi once per contracted gridding; each row only draws pi, on integers,
+by `geometry`'s one drawing rule, and reads it back.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
 import itertools
-import math
 from typing import Optional, Sequence
 
 from . import geometry, letters, oracle
-from .geometry import Cell, Realization
+from .geometry import Realization
 from .gridding import GriddedPermutation, GridMatrix, SignedMatrix, find_gridding
 from .letters import LetteringCache, Letterization
 from .perm import Permutation, inversion_graph
@@ -153,14 +153,16 @@ def regrid(gp: GriddedPermutation, rlz: RefinedLetterization) -> GriddedPermutat
         col_cuts.update((positions[0], positions[-1] + 1))
         row_cuts.update((min(values), max(values) + 1))
     col_divs, row_divs = tuple(sorted(col_cuts)), tuple(sorted(row_cuts))
-    # New cuts refine the old ones, so each entry keeps its parent cell's sign.
+    # No re-validation: the cuts refine gp's, so each new cell lies in one parent
+    # cell and holds only entries of it, monotone in the sign it takes from it.
     entries = [[0] * (len(row_divs) - 1) for _ in range(len(col_divs) - 1)]
+    cells = []
     for i, (v, (k, l)) in enumerate(zip(gp.perm.values, gp.cells), start=1):
-        a = bisect.bisect_right(col_divs, i) - 1
-        b = bisect.bisect_right(row_divs, v) - 1
-        entries[a][b] = gp.matrix.entries[k - 1][l - 1]
+        cell = bisect.bisect_right(col_divs, i), bisect.bisect_right(row_divs, v)
+        entries[cell[0] - 1][cell[1] - 1] = gp.matrix.entries[k - 1][l - 1]
+        cells.append(cell)
     matrix = GridMatrix(len(col_divs) - 1, len(row_divs) - 1, tuple(map(tuple, entries)))
-    return GriddedPermutation(gp.perm, matrix, col_divs, row_divs)
+    return GriddedPermutation._trusted(gp.perm, matrix, tuple(cells), (col_divs, row_divs))
 
 
 def assign_signs(
@@ -240,42 +242,6 @@ def contract_gridded(
     return GriddedPermutation._trusted(contracted, gp.matrix, sigma_cells), tuple(groups)
 
 
-def _inflate_points(
-    sigma_final: GriddedPermutation,
-    signs: SignedMatrix,
-    psi: Sequence[int],
-    groups: tuple[tuple[int, int], ...],
-) -> tuple[tuple[Cell, ...], int, tuple[tuple[int, int], ...]]:
-    """Draw the uncontracted permutation from the contracted gridding and psi:
-    its cells, and its points as integer numerators over one denominator D.
-
-    Each contracted entry i becomes a short monotone run along its cell's
-    diagonal, close enough to the point `geometry.realize` would draw for i
-    that every reading order outside the run is untouched.  That point lies
-    at offset p/d from the cell's base point, with p = psi(i) and d = n + 1,
-    psi a bijection onto 1..n; so every coordinate is an integer over d,
-    distinct coordinates differ by at least 1/d, and every point lies at
-    least 1/d inside its cell.  The q-th point of a run of length L goes to
-    offset (4Lp + c(2q - L - 1))/(4Ld), with c the column sign: less than
-    1/(4d) from the entry's point, under half the least gap.  A one-entry
-    group gets 4p/4d = p/d, exactly the point `realize` draws.  The
-    numerators are over D = 4d lcm(run lengths), times lcm / L.
-    """
-    lcm = math.lcm(*(b - a + 1 for a, b in groups))
-    big_d = 4 * (len(sigma_final.perm) + 1) * lcm
-    entries, col_signs = signs.matrix.entries, signs.col_signs
-    new_cells: list[Cell] = []
-    nums: list[tuple[int, int]] = []
-    for cell, p, (a, b) in zip(sigma_final.cells, psi, groups):
-        length = b - a + 1
-        sign, c = entries[cell[0] - 1][cell[1] - 1], col_signs[cell[0] - 1]
-        for q in range(1, length + 1):
-            offset = (4 * length * p + c * (2 * q - length - 1)) * (lcm // length)
-            new_cells.append(cell)
-            nums.append(geometry._point_on_cell(cell, sign, signs, offset, big_d))
-    return tuple(new_cells), big_d, tuple(nums)
-
-
 @dataclasses.dataclass(frozen=True)
 class GeometrizeResult:
     signed: SignedMatrix
@@ -331,7 +297,9 @@ def _geometrize_contracted(sigma_gp: GriddedPermutation, k_max: int, cache: Lett
     ro = reading_orders(rlz, sigma_gp)
     regridded = regrid(sigma_gp, rlz)
     signed = assign_signs(regridded, rlz, ro)
-    sigma_final = GriddedPermutation(sigma, signed.matrix, regridded.col_divs, regridded.row_divs)
+    # No re-validation: an occupied cell's letter reads h and v = h s, s its cell's
+    # sign, so its new entry is h v = h h s = s, the sign the regridded cell had.
+    sigma_final = GriddedPermutation._trusted(sigma, signed.matrix, regridded.cells)
     psi = geometry.consistency(geometry.local_orders(sigma_final, signed))
     if psi is None:
         raise PipelineError("local orders of the regridded permutation are inconsistent")
@@ -354,7 +322,8 @@ def _geometrize_gridding(gp0: GriddedPermutation, k_max: int, cache: LetteringCa
     if isinstance(core, PipelineError):
         raise type(core)(*core.args) from core
     sigma_final, signed, psi = core[:3]
-    cells, d, nums = _inflate_points(sigma_final, signed, psi, groups)
+    runs = [b - a + 1 for a, b in groups]
+    cells, d, nums = geometry._drawing(sigma_final.cells, signed, psi, runs)
     gridded = GriddedPermutation._trusted(pi, signed.matrix, cells)
     try:
         geometry._check_drawing(gridded, d, nums)
@@ -506,15 +475,13 @@ def _universal_ok(
     matrix is col sign times row sign, so cell (K, L) carries the diagonal
     of cell (k, l), and shifting each point by ((K - k)d, (L - l)d) moves it
     onto that diagonal.  A point set on the full-bound universal figure that
-    reads back to the embedding is a complete membership witness, and that
-    read-back proves the embedding built before it without re-validation.
+    reads back to the embedding is a complete membership witness.
     """
     try:
-        cells, divs, s_signed = geometry._universal_cells(gp, signs, t, u)
-        embedded = GriddedPermutation._trusted(gp.perm, s_signed.matrix, cells, divs)
+        embedded, _ = geometry.embed_in_universal(gp, signs, t, u)
         shifted = [
             (x + (K - k) * d, y + (L - l) * d)
-            for (x, y), (k, l), (K, L) in zip(nums, gp.cells, cells)
+            for (x, y), (k, l), (K, L) in zip(nums, gp.cells, embedded.cells)
         ]
         geometry._check_drawing(embedded, d, shifted)
     except ValueError:

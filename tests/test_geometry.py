@@ -8,6 +8,7 @@ from gridletters.geometry import (
     CellWord,
     LocalOrders,
     Realization,
+    _as_points,
     _word_points,
     check_realization,
     consistency,
@@ -25,6 +26,7 @@ from gridletters.geometry import (
 )
 from gridletters.gridding import (
     GriddedPermutation,
+    SignedMatrix,
     all_griddings,
     divisions_of_cells,
     double,
@@ -32,12 +34,18 @@ from gridletters.gridding import (
     from_display_rows,
     grid_matrix,
     iter_griddings,
-    iter_sign_vectors,
     pmm_signs,
     universal_matrix,
 )
 from gridletters.letters import LetteringCache
-from gridletters.perm import Permutation, contains, inversion_graph, parse_permutation
+from gridletters.oracle import _sign_vectors
+from gridletters.perm import (
+    Permutation,
+    contains,
+    inversion_graph,
+    parse_permutation,
+    position_table,
+)
 from gridletters.pipeline import geometrize
 
 P = parse_permutation
@@ -49,6 +57,11 @@ FIG_WORD = ((2, 2), (1, 2), (3, 1), (3, 2), (3, 1), (1, 2), (2, 1))
 
 def perms_of(n):
     return (Permutation(v) for v in itertools.permutations(range(1, n + 1)))
+
+
+def sign_vectors(m):
+    # Every sign vector of m, from the oracle's independent enumeration.
+    return [SignedMatrix(m, cs, rs) for cs, rs in _sign_vectors(m)]
 
 
 @pytest.fixture()
@@ -107,7 +120,7 @@ class TestConsistency:
 
     def test_3142_inconsistent_everywhere(self, x_matrix):
         pi = P("3142")
-        sign_choices = list(iter_sign_vectors(x_matrix))
+        sign_choices = sign_vectors(x_matrix)
         assert len(sign_choices) == 2
         griddings = all_griddings(pi, x_matrix)
         assert griddings
@@ -224,7 +237,7 @@ class TestDecodeWord:
         offsets = [Fraction(1, 100), Fraction(5, 99), Fraction(31, 50),
                    Fraction(16, 25), Fraction(13, 20), Fraction(33, 50), Fraction(99, 100)]
         pts = [
-            _point_on_cell(cell, fan_matrix.entry(*cell), signs, off)
+            _point_on_cell(cell, fan_matrix.entry(*cell), signs, off, 1)
             for cell, off in zip(FIG_WORD, offsets)
         ]
         assert read_points(fan_matrix, pts) == decode_word(w, signs)
@@ -232,6 +245,29 @@ class TestDecodeWord:
     def test_rejects_zero_cell_letter(self, fan_matrix):
         with pytest.raises(ValueError):
             CellWord(fan_matrix, ((1, 1),))
+
+    def test_decoding_builds_no_fraction(self, fan_matrix, fan_gridding, monkeypatch):
+        # The word's integer drawing is read back as it is, with no Fractions.
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        assert decode_word(CellWord(fan_matrix, FIG_WORD), pmm_signs(fan_matrix)) == fan_gridding
+        assert made == []
+
+    def test_signs_over_another_matrix_are_rejected(self, fan_matrix, fan_gridding):
+        # The same shape, other signs: nothing fails unless the matrices are compared.
+        other = pmm_signs(grid_matrix([[1, 1], [1, 1], [1, 1]]))
+        w = CellWord(fan_matrix, FIG_WORD)
+        for call in (decode_word, word_index_map):
+            with pytest.raises(ValueError, match="different matrices"):
+                call(w, other)
+        with pytest.raises(ValueError, match="different matrices"):
+            embed_in_universal(fan_gridding, other)
 
 
 class TestEncodeGridded:
@@ -302,7 +338,7 @@ class TestGeomMember:
                         (
                             (gp, signs)
                             for gp in all_griddings(pi, work)
-                            for signs in iter_sign_vectors(work)
+                            for signs in sign_vectors(work)
                             if consistency(local_orders(gp, signs)) is not None
                         ),
                         None,
@@ -352,7 +388,7 @@ class TestGeomMember:
         # last matrix has two components, so it has four sign vectors.
         x_plus_cell = from_display_rows([(0, 0, 1), (-1, 1, 0), (1, -1, 0)])
         for m in (x_matrix, v_matrix, fan_matrix, double(non_pmm_matrix), x_plus_cell):
-            sign_choices = list(iter_sign_vectors(m))
+            sign_choices = sign_vectors(m)
             assert len(sign_choices) >= 2
             for n in range(6):
                 for pi in perms_of(n):
@@ -601,9 +637,10 @@ def per_line_local_orders(gp, signs):
             chain.reverse()
         cols.append(tuple(chain))
     rows = []
+    position = position_table(gp.perm)
     for l in range(1, gp.matrix.rows + 1):
         values = range(gp.row_divs[l - 1], gp.row_divs[l])
-        chain = [gp.perm.position_of(v) for v in values]
+        chain = [position[v] for v in values]
         if signs.row_signs[l - 1] == -1:
             chain.reverse()
         rows.append(tuple(chain))
@@ -615,7 +652,7 @@ class TestLocalOrdersAgainstPerLine:
         count = 0
         for m in (x_matrix, v_matrix, fan_matrix):
             for gp in griddings_up_to(6, m):
-                for signs in iter_sign_vectors(m):
+                for signs in sign_vectors(m):
                     assert local_orders(gp, signs) == per_line_local_orders(gp, signs)
                 gp_s, signs_s = embed_in_universal(gp, pmm_signs(m), 26, 26)
                 assert local_orders(gp_s, signs_s) == per_line_local_orders(gp_s, signs_s)
@@ -650,7 +687,7 @@ class TestRealizeAgainstFractions:
     def test_griddings_up_to_6(self, x_matrix, v_matrix, fan_matrix):
         count = drawn = 0
         for m in (x_matrix, v_matrix, fan_matrix):
-            sign_choices = list(iter_sign_vectors(m))
+            sign_choices = sign_vectors(m)
             for gp in griddings_up_to(6, m):
                 n = len(gp.perm)
                 for signs in sign_choices:
@@ -664,7 +701,7 @@ class TestRealizeAgainstFractions:
                     assert r.points == want, gp
                     assert all((n + 1) % c.denominator == 0 for p in r.points for c in p)
                     word = encode_gridded(gp, signs)
-                    assert _word_points(word, signs) == tuple(
+                    assert _as_points(*_word_points(word, signs)) == tuple(
                         fraction_point_on_cell(cell, m.entry(*cell), signs, Fraction(p, n + 1))
                         for p, cell in enumerate(word.letters, start=1)
                     )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridletters import gridding
+from gridletters.geometry import embed_in_universal
 from gridletters.gridding import (
     GriddedPermutation,
     SignedMatrix,
@@ -18,14 +19,14 @@ from gridletters.gridding import (
     grid_matrix,
     is_skew_merged,
     iter_griddings,
-    iter_sign_vectors,
     matching_pattern_witness,
     parse_matrix,
     pmm_signs,
     universal_matrix,
 )
 from gridletters.gridding import _col_reach, _row_divisions
-from gridletters.perm import Permutation, contains, parse_permutation
+from gridletters.oracle import _sign_vectors
+from gridletters.perm import Permutation, contains, parse_permutation, position_table
 
 P = parse_permutation
 
@@ -148,7 +149,7 @@ class TestFindGridding:
 def unpruned_divisions(pi, m):
     """Every column tuple, with no column reach, each fed to the row search."""
     n = len(pi)
-    position = [0] + [pi.position_of(v) for v in range(1, n + 1)]
+    position = position_table(pi)
     if m.cols == 0:
         tuples = [(1,)] if n == 0 else []
     else:
@@ -238,7 +239,7 @@ class TestColumnReach:
         for m in (x_matrix, fan_matrix):
             for n in range(7):
                 for pi in perms_of(n):
-                    position = [0] + [pi.position_of(v) for v in range(1, n + 1)]
+                    position = position_table(pi)
                     for k in range(1, m.cols + 1):
                         for a in range(1, n + 2):
                             want = max(
@@ -299,9 +300,11 @@ class TestTrustedConstruction:
     ):
         # iter_griddings builds its griddings with the trusted constructor;
         # each equals the validated gridding of its divisions, cells and all,
-        # and so does the trusted gridding built from those cells alone.
-        count = 0
+        # and so does the trusted gridding built from those cells alone.  So
+        # does each one's universal embedding, where m has signs.
+        count = embedded = 0
         for m in (x_matrix, v_matrix, fan_matrix, non_pmm_matrix):
+            signs = pmm_signs(m)
             for n in range(7):
                 for pi in perms_of(n):
                     for gp in iter_griddings(pi, m):
@@ -311,7 +314,14 @@ class TestTrustedConstruction:
                         assert from_cells == checked and from_cells.cells == checked.cells
                         assert repr(gp) == repr(checked) and hash(gp) == hash(checked)
                         count += 1
+                        if signs is not None:
+                            emb, _ = embed_in_universal(gp, signs, m.cols + 1, m.rows + 1)
+                            u = emb.matrix
+                            checked = GriddedPermutation(pi, u, emb.col_divs, emb.row_divs)
+                            assert emb == checked and emb.cells == checked.cells, gp
+                            embedded += 1
         assert count == 2909 + 127 + 7587 + 2909
+        assert embedded == 2909 + 127 + 7587
 
 
 class TestCellTable:
@@ -445,7 +455,7 @@ class TestPmmSigns:
             SignedMatrix(x_matrix, (1, 1), (1, 1))
 
     def test_sign_vector_enumeration(self, x_matrix):
-        vectors = list(iter_sign_vectors(x_matrix))
+        vectors = [SignedMatrix(x_matrix, cs, rs) for cs, rs in _sign_vectors(x_matrix)]
         assert len(vectors) == 2
         assert {v.col_signs for v in vectors} == {(1, -1), (-1, 1)}
 

@@ -163,6 +163,15 @@ class TestSignVectors:
         assert seen == sum(3 ** (t * u) for t in range(4) for u in range(4))
         assert conflicts > 0
 
+    def test_first_vector_is_pmm_signs_up_to_3x3(self):
+        # The library's one sign derivation agrees with the oracle's
+        # enumeration: no signs exactly when it finds none, else its first.
+        for m in small_matrices():
+            signs, vectors = gridding.pmm_signs(m), _sign_vectors(m)
+            assert (signs is None) == (not vectors), m
+            if vectors:
+                assert (signs.col_signs, signs.row_signs) == vectors[0], m
+
     def test_matches_the_product_filter_on_sweep_outputs(self, monkeypatch, x_matrix):
         matrices = []
         original = oracle.geom_member_oracle
@@ -194,7 +203,6 @@ class TestOracleIndependence:
             raise AssertionError("the oracle used the library's sign search")
 
         monkeypatch.setattr(gridding, "pmm_signs", refuse)
-        monkeypatch.setattr(gridding, "iter_sign_vectors", refuse)
         assert not _sign_vectors(non_pmm_matrix)
         for m, pi, want in cases:
             assert geom_member_oracle(pi, m) == want, (m, pi)

@@ -29,7 +29,6 @@ from gridletters.pipeline import (
     PipelineError,
     ReadingOrderConflictError,
     ReadingOrders,
-    _inflate_points,
     assign_signs,
     _universal_ok,
     class_experiment,
@@ -776,8 +775,9 @@ class TestDrawingTailAgainstReferences:
                     sigma_real = geometry.realize(sigma_gp, signed)
                     groups = contract_gridded(result.initial_gridding)[1]
                     psi = consistency(local_orders(sigma_gp, signed))
-                    cells, d, nums = _inflate_points(sigma_gp, signed, psi, groups)
-                    lcm = math.lcm(*(b - a + 1 for a, b in groups))
+                    runs = [b - a + 1 for a, b in groups]
+                    cells, d, nums = geometry._drawing(sigma_gp.cells, signed, psi, runs)
+                    lcm = math.lcm(*runs)
                     assert d == 4 * (len(sigma_gp.perm) + 1) * lcm
                     assert all(type(c) is int for point in nums for c in point)
                     points = tuple((Fraction(x, d), Fraction(y, d)) for x, y in nums)
