@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 negative verdict (not a member, verification
 failure), 2 input error.  Permutations are accepted inline or as a file
 path; matrices and graphs come from files in the formats documented in
 their modules (matrices display order, graphs as "n" plus edge lines).
+Each command imports only the modules it runs.
 """
 from __future__ import annotations
 
@@ -11,17 +12,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import geometry, letters, pipeline, render
-from .graphs import parse_graph
-from .gridding import GridMatrix, find_gridding, parse_matrix, pmm_signs
-from .perm import Permutation, inversion_graph, parse_permutation
-
 
 class InputError(ValueError):
     pass
 
 
-def _read_perm(value: str) -> Permutation:
+def _read_perm(value: str):
+    from .perm import parse_permutation
     path = Path(value)
     try:
         text = path.read_text() if path.is_file() else value
@@ -30,19 +27,25 @@ def _read_perm(value: str) -> Permutation:
         raise InputError(f"bad permutation input: {exc}") from exc
 
 
-def _read_matrix(path: str) -> GridMatrix:
+def _read_matrix(path: str):
+    from .gridding import parse_matrix
     try:
         return parse_matrix(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InputError(f"bad matrix file {path}: {exc}") from exc
 
 
-def _write_svg(args, spec: render.RenderSpec, r: geometry.Realization) -> None:
-    if args.svg:
-        Path(args.svg).write_text(render.render_drawing(r, spec))
+def _target(value: str) -> str:
+    from .render import TARGETS
+    if value not in TARGETS:
+        choices = ", ".join(TARGETS)
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
 
 
 def cmd_lettericity(args) -> int:
+    from . import letters
+    from .graphs import parse_graph
     try:
         g = parse_graph(Path(args.graph).read_text())
     except (OSError, ValueError) as exc:
@@ -61,12 +64,14 @@ def cmd_lettericity(args) -> int:
 
 
 def cmd_invgraph(args) -> int:
+    from .perm import inversion_graph
     pi = _read_perm(args.perm)
     sys.stdout.write(str(inversion_graph(pi)))
     return 0
 
 
 def cmd_grid_check(args) -> int:
+    from .gridding import find_gridding
     pi = _read_perm(args.perm)
     m = _read_matrix(args.matrix)
     gp = find_gridding(pi, m)
@@ -80,6 +85,7 @@ def cmd_grid_check(args) -> int:
 
 
 def cmd_geom_check(args) -> int:
+    from . import geometry, render
     spec = render.RenderSpec("drawing", args.scale)
     pi = _read_perm(args.perm)
     m = _read_matrix(args.matrix)
@@ -90,11 +96,13 @@ def cmd_geom_check(args) -> int:
     print("member of Geom(M)")
     for i, (x, y) in enumerate(r.points, start=1):
         print(f"entry {i} (value {r.gridded.perm.at(i)}): ({x}, {y})")
-    _write_svg(args, spec, r)
+    if args.svg:
+        Path(args.svg).write_text(render.render_drawing(r, spec))
     return 0
 
 
 def cmd_geometrize(args) -> int:
+    from . import pipeline, render
     spec = render.RenderSpec("drawing", args.scale)
     pi = _read_perm(args.perm)
     m = _read_matrix(args.matrix)
@@ -111,11 +119,13 @@ def cmd_geometrize(args) -> int:
     print("row divisions:", " ".join(map(str, result.gridded.row_divs)))
     for i, (x, y) in enumerate(result.realization.points, start=1):
         print(f"entry {i} (value {pi.at(i)}): ({x}, {y})")
-    _write_svg(args, spec, result.realization)
+    if args.svg:
+        Path(args.svg).write_text(render.render_drawing(result.realization, spec))
     return 0
 
 
 def cmd_experiment(args) -> int:
+    from . import pipeline
     m = _read_matrix(args.matrix)
     report = pipeline.class_experiment(
         args.n_max, m, args.letters, verify_with_oracle=args.verify
@@ -126,6 +136,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import geometry, render
+    from .gridding import find_gridding, pmm_signs
     spec = render.RenderSpec(args.target, args.scale)
     m = _read_matrix(args.matrix)
     if args.target != "figure" and args.perm is None:
@@ -206,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("render", help="SVG output")
-    p.add_argument("--target", choices=render.TARGETS, required=True)
+    p.add_argument("--target", type=_target, required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--perm")
     p.add_argument("--svg", help="output path (stdout when omitted)")

@@ -149,6 +149,17 @@ def _sign_vectors(m: GridMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     return sorted(vectors, reverse=True)
 
 
+@functools.lru_cache(maxsize=1024)
+def _searched(m: GridMatrix) -> tuple[GridMatrix, tuple]:
+    # m, or its double when m admits no signs, and its sign vectors: a sweep
+    # asks the oracle about the same few output matrices hundreds of times.
+    vectors = _sign_vectors(m)
+    if not vectors:
+        m = double(m)
+        vectors = _sign_vectors(m)
+    return m, tuple(vectors)
+
+
 def _has_cycle(n: int, edges: set[tuple[int, int]]) -> bool:
     succ: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     for a, b in edges:
@@ -173,10 +184,7 @@ def geom_member_oracle(pi: Permutation, m: GridMatrix) -> bool:
     candidate sign vector, accepting iff some combination is acyclic."""
     if len(pi) > GEOM_ORACLE_MAX_LENGTH:
         raise ValueError(f"geometric membership oracle capped at length {GEOM_ORACLE_MAX_LENGTH}")
-    work, sign_choices = m, _sign_vectors(m)
-    if not sign_choices:  # m admits no signs: use its double
-        work = double(m)
-        sign_choices = _sign_vectors(work)
+    work, sign_choices = _searched(m)
     t, u = work.cols, work.rows
     n = len(pi)
     if n == 0:

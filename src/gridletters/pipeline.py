@@ -409,14 +409,17 @@ def class_experiment(
     membership in the output matrix (the read-back `geometrize` makes before
     it returns, so a returned result is a member), and membership in the
     universal matrix of the bound dimensions.  Each PipelineError becomes a
-    report row and other exceptions propagate; an n_max past the oracle's
-    length cap with verify_with_oracle raises ValueError before the sweep starts.
+    report row and other exceptions propagate; an r below 1, a negative n_max,
+    or an n_max past the oracle's length cap with verify_with_oracle raises
+    ValueError before the sweep starts.
     The filter's gridding is the one geometrized, so each permutation is
     gridded once; one `LetteringCache` serves the lettericity filter and every
     row, so each isomorphism class of inversion graphs is searched once; and
     each contracted gridding runs the stages from lettering to psi once per
     sweep, so only the drawing of pi and the verification tail run per row.
     """
+    if r < 1 or n_max < 0:
+        raise ValueError(f"need r >= 1 and n_max >= 0, got r = {r}, n_max = {n_max}")
     cap = oracle.GEOM_ORACLE_MAX_LENGTH
     if verify_with_oracle and n_max > cap:
         raise ValueError(f"geometric membership oracle capped at length {cap}")

@@ -190,6 +190,15 @@ class TestExperiment:
         assert "capped at length 7" in err
         assert calls == []
 
+    @pytest.mark.parametrize("n_max, letters", [("3", "0"), ("-1", "3")])
+    def test_letter_cap_below_one_or_negative_length_is_an_input_error(
+        self, x_file, capsys, n_max, letters
+    ):
+        assert main(["experiment", "--n-max", n_max, "--matrix", x_file, "--letters", letters]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "need r >= 1 and n_max >= 0" in err
+
 
 class TestRender:
     def test_figure_to_file(self, fan_file, tmp_path):
@@ -213,6 +222,14 @@ class TestRender:
 
     def test_gridding_absent(self, x_file, capsys):
         assert main(["render", "--target", "gridding", "--matrix", x_file, "--perm", "2143"]) == 1
+
+    def test_unknown_target_is_a_usage_error(self, fan_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--target", "bogus", "--matrix", fan_file])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gridletters render")
+        assert "invalid choice: 'bogus' (choose from figure, drawing, gridding, hasse)" in err
 
     def test_missing_matrix_file(self, capsys):
         assert main(["render", "--target", "figure", "--matrix", "/nonexistent.mat"]) == 2

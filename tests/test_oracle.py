@@ -187,6 +187,24 @@ class TestSignVectors:
             self.check(m)
 
 
+class TestOracleSetUp:
+    def test_one_sign_search_per_matrix_in_a_sweep(self, monkeypatch, x_matrix):
+        # The n = 6 sweep's 457 rows have 87 distinct output matrices, all
+        # signed, so none is doubled.
+        calls = []
+        original = oracle._sign_vectors
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(oracle, "_sign_vectors", counting)
+        oracle._searched.cache_clear()
+        report = class_experiment(6, x_matrix, 3, verify_with_oracle=True)
+        assert report.ok and len(report.rows) == 457
+        assert len(calls) <= 87
+
+
 class TestOracleIndependence:
     def test_decides_doubling_without_the_library_sign_search(
         self, monkeypatch, x_matrix, non_pmm_matrix

@@ -538,6 +538,18 @@ class TestClassExperiment:
         assert report.rows == ()
         assert report.ok
 
+    def test_letter_cap_below_one_or_negative_length_is_an_input_error(
+        self, x_matrix, monkeypatch
+    ):
+        def no_search(pi, m):
+            raise AssertionError("gridding searched")
+
+        monkeypatch.setattr(pipeline, "find_gridding", no_search)
+        for n_max, r, verify in ((3, 0, False), (3, -1, True), (-1, 3, False), (0, 0, False)):
+            with pytest.raises(ValueError, match="need r >= 1 and n_max >= 0") as exc:
+                class_experiment(n_max, x_matrix, r, verify_with_oracle=verify)
+            assert not isinstance(exc.value, PipelineError)
+
     def test_small_run_all_verified(self, x_matrix):
         report = class_experiment(5, x_matrix, 2, verify_with_oracle=True)
         assert report.ok
