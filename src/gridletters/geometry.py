@@ -17,7 +17,6 @@ cell is the corner both orientations point away from.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import heapq
 import itertools
 import math
@@ -30,9 +29,9 @@ from .gridding import (
     GridMatrix,
     SignedMatrix,
     _divisions,
+    _universal_signs,
     double,
     pmm_signs,
-    universal_matrix,
 )
 from .perm import Permutation, position_table
 
@@ -403,15 +402,6 @@ def derive_decoder(signs: SignedMatrix) -> frozenset[tuple[Cell, Cell]]:
     return frozenset(decoder)
 
 
-@functools.lru_cache(maxsize=8)
-def _universal_signed(t: int, u: int) -> SignedMatrix:
-    """The universal matrix of t x u blocks with its signs: even columns and
-    odd rows read forwards.  Built and validated once per shape."""
-    col_signs = tuple((-1) ** k for k in range(1, 2 * t + 1))
-    row_signs = tuple((-1) ** (l - 1) for l in range(1, 2 * u + 1))
-    return SignedMatrix(universal_matrix(t, u), col_signs, row_signs)
-
-
 def embed_in_universal(
     gp: GriddedPermutation,
     signs: SignedMatrix,
@@ -435,5 +425,5 @@ def embed_in_universal(
     # Column k goes to 2k for sign +1 and to 2k - 1 for -1; row l to 2l - 1 and 2l.
     cs, rs = signs.col_signs, signs.row_signs
     cells = tuple((2 * k - (cs[k - 1] == -1), 2 * l - (rs[l - 1] == 1)) for k, l in gp.cells)
-    s_signed = _universal_signed(a, b)
+    s_signed = _universal_signs(a, b)
     return GriddedPermutation._trusted(gp.perm, s_signed.matrix, cells), s_signed

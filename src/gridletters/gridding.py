@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -188,13 +189,7 @@ def _cuts(parts: int, n: int, fit: Callable[[int, int], int]) -> Iterator[tuple[
     a..b-1.  Fitting is hereditary, so fit grows with a, and lines j..parts
     can cover a..n iff a >= first[j], the least a with fit(j, a) >= first[j+1].
     """
-    memo: dict[tuple[int, int], int] = {}
-
-    def reach(l: int, a: int) -> int:
-        if (l, a) not in memo:
-            memo[l, a] = fit(l, a)
-        return memo[l, a]
-
+    reach = functools.cache(fit)
     top = 1
     for l in range(1, parts + 1):
         top = reach(l, top)
@@ -261,7 +256,7 @@ def _divisions(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...]
     `_row_divisions`.  A column reach costs O(n^2) at most, and a column
     tuple O(u n^2), plus output."""
     position = position_table(pi)
-    for cdivs in _cuts(m.cols, len(pi), lambda k, a: _col_reach(m, pi, position, k, a)):
+    for cdivs in _cuts(m.cols, len(pi), functools.partial(_col_reach, m, pi, position)):
         column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
         yield cdivs, _row_divisions(m, position, column)
 
@@ -338,6 +333,17 @@ class SignedMatrix:
             if self.matrix.entry(k, l) != self.col_signs[k - 1] * self.row_signs[l - 1]:
                 raise ValueError(f"entry ({k}, {l}) is not col sign times row sign")
 
+    @classmethod
+    def _product(cls, col_signs: tuple[int, ...], row_signs: tuple[int, ...]) -> SignedMatrix:
+        """The full matrix of products, with no validation pass: every entry
+        (k, l) is col_signs[k-1] * row_signs[l-1], the product of the signs it
+        names.  Only for sign vectors of +-1 entries."""
+        sm = object.__new__(cls)
+        entries = tuple(tuple(c * r for r in row_signs) for c in col_signs)
+        matrix = GridMatrix(len(col_signs), len(row_signs), entries)
+        vars(sm).update(matrix=matrix, col_signs=col_signs, row_signs=row_signs)
+        return sm
+
 
 def pmm_signs(m: GridMatrix) -> Optional[SignedMatrix]:
     """Column and row signs factoring every nonzero entry, or None.
@@ -391,6 +397,17 @@ def double(m: GridMatrix) -> GridMatrix:
     return GridMatrix(2 * t, 2 * u, tuple(tuple(col) for col in entries))
 
 
+@functools.lru_cache(maxsize=8)
+def _universal_signs(t: int, u: int) -> SignedMatrix:
+    """The universal matrix of t x u blocks with its signs: even columns and
+    odd rows read forwards, so entry (k, l) is (-1)^k (-1)^(l-1)."""
+    if t < 1 or u < 1:
+        raise ValueError("need t, u >= 1")
+    col_signs = tuple((-1) ** k for k in range(1, 2 * t + 1))
+    row_signs = tuple((-1) ** (l - 1) for l in range(1, 2 * u + 1))
+    return SignedMatrix._product(col_signs, row_signs)
+
+
 def universal_matrix(t: int, u: int) -> GridMatrix:
     """The 2t x 2u matrix S with S(k, l) = (-1)^(k+l-1).
 
@@ -398,10 +415,4 @@ def universal_matrix(t: int, u: int) -> GridMatrix:
     cell corresponds to a 2 x 2 block holding both an increasing and a
     decreasing subcell.
     """
-    if t < 1 or u < 1:
-        raise ValueError("need t, u >= 1")
-    entries = tuple(
-        tuple((-1) ** (k + l - 1) for l in range(1, 2 * u + 1))
-        for k in range(1, 2 * t + 1)
-    )
-    return GridMatrix(2 * t, 2 * u, entries)
+    return _universal_signs(t, u).matrix

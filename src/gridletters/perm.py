@@ -132,13 +132,14 @@ def inversion_graph(pi: Permutation) -> graphs.SimpleGraph:
     [(1, 3), (2, 3), (2, 4)]
     """
     n = len(pi)
-    edges = [
+    # Each pair is (i, j) with i < j by construction, so nothing needs normalising.
+    edges = frozenset(
         (i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
         if pi.values[i - 1] > pi.values[j - 1]
-    ]
-    return graphs.graph(n, edges)
+    )
+    return graphs.SimpleGraph(n, edges)
 
 
 def separators(pi: Permutation, i: int, j: int) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ The output matrix is a partial multiplication matrix of size at most
 t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
 `class_experiment` shares one `letters.LetteringCache` and runs the stages up
-to psi once per contracted gridding; each row only draws pi, on integers,
-by `geometry`'s one drawing rule, and reads it back.
+to psi once per contracted gridding (a failing one again for each row that
+reaches it); each row only draws pi, on integers, by `geometry`'s one
+drawing rule, and reads it back.
 """
 from __future__ import annotations
 
@@ -74,13 +75,14 @@ class ReadingOrders:
 
 
 def reletter(lz: Letterization, gp: GriddedPermutation) -> RefinedLetterization:
-    """Attach cell coordinates to every letter of a verified lettering."""
-    return _reletter(lz, gp, inversion_graph(gp.perm))
-
-
-def _reletter(lz: Letterization, gp: GriddedPermutation, g) -> RefinedLetterization:
-    if not letters.verify_letterization(g, lz):
+    """Attach cell coordinates to every letter of a lettering of gp's
+    inversion graph, after checking that it is one."""
+    if not letters.verify_letterization(inversion_graph(gp.perm), lz):
         raise PipelineError("iso is not an isomorphism onto the letter graph")
+    return _reletter(lz, gp)
+
+
+def _reletter(lz: Letterization, gp: GriddedPermutation) -> RefinedLetterization:
     word: list[RefinedLetter] = [None] * len(gp.perm)  # type: ignore[list-item]
     for p, (k, l) in zip(lz.iso, gp.cells):
         word[p - 1] = (lz.word[p - 1], k, l)
@@ -108,15 +110,6 @@ def _letter_entries(
     return out
 
 
-def _check_no_cell_intervals(gp: GriddedPermutation) -> None:
-    # Adjacent positions with adjacent values inside one cell have no
-    # separating entry, which breaks the reading orders downstream.
-    values, cells = gp.perm.values, gp.cells
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) == 1 and cells[i] == cells[i - 1]:
-            raise PipelineError(f"nontrivial monotone interval at positions {i}, {i + 1}")
-
-
 def reading_orders(rlz: RefinedLetterization, gp: GriddedPermutation) -> ReadingOrders:
     """Reading orders per refined letter, forced through the word order.
 
@@ -125,7 +118,11 @@ def reading_orders(rlz: RefinedLetterization, gp: GriddedPermutation) -> Reading
     the letter's cell.
     """
     entries_of = _letter_entries(rlz, gp)
-    _check_no_cell_intervals(gp)
+    # A monotone run inside one cell has no separating entry, which breaks
+    # the reading orders; `contract_gridded` finds the runs.
+    for a, b in contract_gridded(gp)[1]:
+        if a < b:
+            raise PipelineError(f"nontrivial monotone interval at positions {a}, {a + 1}")
     orders = []
     for letter, entries in entries_of.items():
         ranks = [rlz.iso[i - 1] for i in entries]
@@ -195,12 +192,7 @@ def assign_signs(
 
     col_signs = [line_sign(s, "horizontal", f"column {k}") for k, s in enumerate(col_orders, 1)]
     row_signs = [line_sign(s, "vertical", f"row {l}") for l, s in enumerate(row_orders, 1)]
-    matrix = GridMatrix(
-        cols,
-        rows,
-        tuple(tuple(col_signs[k] * row_signs[l] for l in range(rows)) for k in range(cols)),
-    )
-    return SignedMatrix(matrix, tuple(col_signs), tuple(row_signs))
+    return SignedMatrix._product(tuple(col_signs), tuple(row_signs))
 
 
 def contract_gridded(
@@ -293,7 +285,8 @@ def _geometrize_contracted(sigma_gp: GriddedPermutation, k_max: int, cache: Lett
         raise LetteringNotFoundError(
             f"inversion graph of {sigma} has no lettering with {k_max} letters"
         )
-    rlz = _reletter(lz, sigma_gp, g)
+    # No re-verification: cache.find_lettering(g, k_max) returned lz as a lettering of g.
+    rlz = _reletter(lz, sigma_gp)
     ro = reading_orders(rlz, sigma_gp)
     regridded = regrid(sigma_gp, rlz)
     signed = assign_signs(regridded, rlz, ro)
@@ -309,18 +302,14 @@ def _geometrize_contracted(sigma_gp: GriddedPermutation, k_max: int, cache: Lett
 def _geometrize_gridding(gp0: GriddedPermutation, k_max: int, cache: LetteringCache, cores: dict):
     # `geometrize` after the gridding search: the core, pi's gridding and its
     # drawing, numerators nums over d.  `cores` keeps each contracted gridding's
-    # core or PipelineError (raised afresh per row).  A failed read-back is a
-    # PipelineError too; only a valid gridding, built unchecked, passes it.
+    # successful core; a failing one raises anew for each row that reaches it.
+    # A failed read-back is a PipelineError too; only a valid gridding, built
+    # unchecked, passes it.
     pi = gp0.perm
     sigma_gp, groups = contract_gridded(gp0)
     core = cores.get(sigma_gp)
     if core is None:
-        try:
-            core = cores[sigma_gp] = _geometrize_contracted(sigma_gp, k_max, cache)
-        except PipelineError as exc:
-            core = cores[sigma_gp] = exc
-    if isinstance(core, PipelineError):
-        raise type(core)(*core.args) from core
+        core = cores[sigma_gp] = _geometrize_contracted(sigma_gp, k_max, cache)
     sigma_final, signed, psi = core[:3]
     runs = [b - a + 1 for a, b in groups]
     cells, d, nums = geometry._drawing(sigma_final.cells, signed, psi, runs)
@@ -416,7 +405,8 @@ def class_experiment(
     gridded once; one `LetteringCache` serves the lettericity filter and every
     row, so each isomorphism class of inversion graphs is searched once; and
     each contracted gridding runs the stages from lettering to psi once per
-    sweep, so only the drawing of pi and the verification tail run per row.
+    sweep (a failing one once per row that reaches it), so only the drawing
+    of pi and the verification tail run per row.
     """
     if r < 1 or n_max < 0:
         raise ValueError(f"need r >= 1 and n_max >= 0, got r = {r}, n_max = {n_max}")
@@ -425,7 +415,7 @@ def class_experiment(
         raise ValueError(f"geometric membership oracle capped at length {cap}")
     bound = bound_cols, bound_rows = _size_bound(m, r)
     cache = LetteringCache()
-    cores: dict[GriddedPermutation, tuple | PipelineError] = {}
+    cores: dict[GriddedPermutation, tuple] = {}
     rows: list[ExperimentRow] = []
     scanned = 0
     skipped_ungriddable = 0

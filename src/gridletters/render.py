@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from typing import Union
 
 from .geometry import LocalOrders, Realization, StandardFigure, consistency, standard_figure
 from .gridding import GriddedPermutation, GridMatrix
-
-TARGETS = ("figure", "drawing", "gridding", "hasse")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,23 +199,22 @@ def render_hasse(lo: LocalOrders, spec: RenderSpec) -> str:
     return _svg(canvas.width, canvas.height, out)
 
 
-Renderable = Union[GridMatrix, Realization, GriddedPermutation, LocalOrders]
+# Per target, the type of object it draws and its renderer's name.  `render`
+# looks the renderer up when called, so a function swapped into this module
+# (perfbench's tracer wraps each public one) is the one that runs.
+_RENDERERS = {
+    "figure": (GridMatrix, "render_figure"),
+    "drawing": (Realization, "render_drawing"),
+    "gridding": (GriddedPermutation, "render_gridding"),
+    "hasse": (LocalOrders, "render_hasse"),
+}
+TARGETS = tuple(_RENDERERS)
 
 
-def render(spec: RenderSpec, obj: Renderable) -> str:
+def render(spec: RenderSpec, obj) -> str:
     """Dispatch on the spec target; the object must match its kind."""
-    if spec.target == "figure":
-        if not isinstance(obj, GridMatrix):
-            raise ValueError("figure rendering needs a GridMatrix")
-        return render_figure(obj, spec)
-    if spec.target == "drawing":
-        if not isinstance(obj, Realization):
-            raise ValueError("drawing rendering needs a Realization")
-        return render_drawing(obj, spec)
-    if spec.target == "gridding":
-        if not isinstance(obj, GriddedPermutation):
-            raise ValueError("gridding rendering needs a GriddedPermutation")
-        return render_gridding(obj, spec)
-    if not isinstance(obj, LocalOrders):
-        raise ValueError("hasse rendering needs LocalOrders")
-    return render_hasse(obj, spec)
+    kind, renderer = _RENDERERS[spec.target]
+    if not isinstance(obj, kind):
+        article = "" if kind.__name__.endswith("s") else "a "  # a plural name takes none
+        raise ValueError(f"{spec.target} rendering needs {article}{kind.__name__}")
+    return globals()[renderer](obj, spec)

@@ -1,33 +1,23 @@
 import ast
 import doctest
+import importlib
 from pathlib import Path
 
 import pytest
 
 import gridletters
-import gridletters.geometry
-import gridletters.graphs
-import gridletters.gridding
-import gridletters.letters
-import gridletters.perm
 
 SOURCES = sorted(
     path for path in Path(gridletters.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
 
 
+# `__main__` runs the CLI on import, so it is the one source left out.
 @pytest.mark.parametrize(
-    "module",
-    [
-        gridletters.perm,
-        gridletters.graphs,
-        gridletters.letters,
-        gridletters.gridding,
-        gridletters.geometry,
-    ],
+    "name", [f"gridletters.{path.stem}" for path in SOURCES if path.stem != "__main__"]
 )
-def test_module_doctests(module):
-    failed, _attempted = doctest.testmod(module)
+def test_module_doctests(name):
+    failed, _attempted = doctest.testmod(importlib.import_module(name))
     assert failed == 0
 
 

@@ -10,6 +10,7 @@ from gridletters import gridding
 from gridletters.geometry import embed_in_universal
 from gridletters.gridding import (
     GriddedPermutation,
+    GridMatrix,
     SignedMatrix,
     all_griddings,
     double,
@@ -459,6 +460,15 @@ class TestPmmSigns:
         assert len(vectors) == 2
         assert {v.col_signs for v in vectors} == {(1, -1), (-1, 1)}
 
+    def test_unvalidated_product_matches_the_validating_constructor(self):
+        for t, u in itertools.product(range(4), repeat=2):
+            for cs in itertools.product((1, -1), repeat=t):
+                for rs in itertools.product((1, -1), repeat=u):
+                    entries = tuple(tuple(c * r for r in rs) for c in cs)
+                    assert SignedMatrix._product(cs, rs) == SignedMatrix(
+                        GridMatrix(t, u, entries), cs, rs
+                    )
+
 
 class TestDouble:
     def test_displayed_example(self, non_pmm_matrix):
@@ -502,3 +512,13 @@ class TestUniversalMatrix:
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
             universal_matrix(0, 1)
+
+    def test_matches_the_formula(self):
+        for t, u in itertools.product(range(1, 5), repeat=2):
+            entries = tuple(
+                tuple((-1) ** (k + l - 1) for l in range(1, 2 * u + 1))
+                for k in range(1, 2 * t + 1)
+            )
+            assert universal_matrix(t, u) == GridMatrix(2 * t, 2 * u, entries)
+            signed = gridding._universal_signs(t, u)
+            SignedMatrix(signed.matrix, signed.col_signs, signed.row_signs)  # validates

@@ -11,6 +11,7 @@ from gridletters.geometry import consistency, geom_member, local_orders
 from gridletters.gridding import (
     GridMatrix,
     GriddedPermutation,
+    SignedMatrix,
     divisions_of_cells,
     find_gridding,
     grid_matrix,
@@ -623,24 +624,28 @@ class TestClassExperiment:
         assert {"2 1 3", "2 3 1 4", "3 2 1 4"} <= ok
 
     def test_kept_core_failures_are_raised_afresh(self, x_matrix, monkeypatch):
+        # The three rows share one contracted gridding; its core fails, is not
+        # kept, and runs again for each row, which gets its own exception.
         def conflicting_orders(rlz, gp):
             raise ReadingOrderConflictError(f"forced conflict in {gp.perm}")
 
         monkeypatch.setattr(pipeline, "reading_orders", conflicting_orders)
+        gps = [find_gridding(P(pi), x_matrix) for pi in ("213", "2134", "2314")]
+        assert len({contract_gridded(gp)[0] for gp in gps}) == 1
         cache, cores, raised = LetteringCache(), {}, []
-        for pi in ("213", "2134", "2314"):
+        for gp in gps:
             with pytest.raises(ReadingOrderConflictError, match="forced conflict in 2 1 3$") as exc:
-                pipeline._geometrize_gridding(find_gridding(P(pi), x_matrix), 3, cache, cores)
+                pipeline._geometrize_gridding(gp, 3, cache, cores)
             raised.append(exc.value)
-        assert len(cores) == 1
-        assert len({id(exc) for exc in raised + list(cores.values())}) == 4
+        assert cores == {}
+        assert len({id(exc) for exc in raised}) == 3
 
     def test_one_core_per_contracted_gridding(self, x_matrix, monkeypatch):
         # Lettering, relettering and psi depend on the contracted gridding
         # alone, so the n = 6 sweep runs each once per distinct one; nothing
         # draws the contracted gridding, and each row reads back twice, on
         # integers: its own drawing and that drawing moved onto the universal
-        # figure.  The relettering check reuses the lettering query's graph.
+        # figure.  Relettering does not re-check the lettering the query built.
         geometry_names = (
             "consistency", "realize", "_draw", "check_realization", "_check_drawing"
         )
@@ -670,6 +675,27 @@ class TestClassExperiment:
             "check_realization": 0,
             "_check_drawing": 2 * 457,
         }
+
+    def test_sweep_builds_no_validating_signs_and_checks_no_lettering(
+        self, x_matrix, monkeypatch
+    ):
+        # Every sign matrix of the sweep is a product of sign vectors, and every
+        # lettering comes from the sweep's own search; neither is checked again.
+        calls = {"verify_letterization": 0, "SignedMatrix": 0}
+        verify, validate = letters.verify_letterization, SignedMatrix.__post_init__
+
+        def counting_verify(*args):
+            calls["verify_letterization"] += 1
+            return verify(*args)
+
+        def counting_validate(self):
+            calls["SignedMatrix"] += 1
+            validate(self)
+
+        monkeypatch.setattr(letters, "verify_letterization", counting_verify)
+        monkeypatch.setattr(SignedMatrix, "__post_init__", counting_validate)
+        assert class_experiment(6, x_matrix, 3, verify_with_oracle=True).ok
+        assert calls == {"verify_letterization": 0, "SignedMatrix": 0}
 
     def test_one_gridding_search_per_permutation(self, x_matrix, monkeypatch):
         calls = []
