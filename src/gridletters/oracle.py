@@ -18,7 +18,7 @@ from . import graphs
 from .gridding import GridMatrix, double
 from .perm import Permutation
 
-GEOM_ORACLE_MAX_LENGTH = 7
+GEOM_ORACLE_MAX_LENGTH = 9
 
 
 def containment_oracle(pi: Permutation, sigma: Permutation) -> bool:

@@ -11,16 +11,17 @@ extend their local orders to a linear order psi, and draw pi from psi.
 The output matrix is a partial multiplication matrix of size at most
 t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
-`class_experiment` shares one `letters.LetteringCache` and runs the stages up
-to psi once per contracted gridding (a failing one again for each row that
-reaches it); each row only draws pi, on integers, by `geometry`'s one
-drawing rule, and reads it back.
+`class_experiment` searches only the one-point extensions of shorter
+members, finds each lettericity once per symmetry class, shares one
+`letters.LetteringCache` and runs the stages up to psi once per contracted
+gridding (a failing one again for each row that reaches it); each row only
+draws pi, on integers, by `geometry`'s one drawing rule, and reads it back.
 """
 from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
+import math
 from typing import Optional, Sequence
 
 from . import geometry, letters, oracle
@@ -387,6 +388,15 @@ class ExperimentReport:
         )
 
 
+def _symmetry_key(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The least of a permutation's eight images under the symmetries of the
+    square: it and its inverse, each reversed, complemented or both."""
+    n = len(values)
+    inverse = tuple(i for _, i in sorted(zip(values, range(1, n + 1))))
+    images = (q for p in (values, inverse) for q in (p, p[::-1]))
+    return min(min(q, tuple(n + 1 - v for v in q)) for q in images)
+
+
 def class_experiment(
     n_max: int,
     m: GridMatrix,
@@ -401,7 +411,18 @@ def class_experiment(
     report row and other exceptions propagate; an r below 1, a negative n_max,
     or an n_max past the oracle's length cap with verify_with_oracle raises
     ValueError before the sweep starts.
-    The filter's gridding is the one geometrized, so each permutation is
+
+    Only extensions of shorter members are searched.  Grid(m) is closed under
+    deletion (a gridding of pi, less one entry, grids what remains), so each
+    member of length n is a member of length n - 1, above the letter cap or
+    not, with the value n inserted: the sweep searches those insertions, in
+    ascending order.  `scanned` still counts the n! permutations of each
+    length n, and every non-member among them counts as not griddable.
+    Lettericity is computed once per class of `_symmetry_key`: inverse and
+    reverse-complement relabel the inversion graph G(pi), and reverse and
+    complement turn it into its complement graph, which the same word letters
+    under the complemented decoder, so all eight images share a lettericity.
+    The filter's gridding is the one geometrized, so each candidate is
     gridded once; one `LetteringCache` serves the lettericity filter and every
     row, so each isomorphism class of inversion graphs is searched once; and
     each contracted gridding runs the stages from lettering to psi once per
@@ -417,18 +438,23 @@ def class_experiment(
     cache = LetteringCache()
     cores: dict[GriddedPermutation, tuple] = {}
     rows: list[ExperimentRow] = []
-    scanned = 0
-    skipped_ungriddable = 0
-    skipped_lettericity = 0
+    scanned = skipped_ungriddable = skipped_lettericity = 0
+    letts: dict[tuple[int, ...], int] = {}
+    members: list[tuple[int, ...]] = [()]
     for n in range(1, n_max + 1):
-        for values in itertools.permutations(range(1, n + 1)):
+        candidates = sorted(w[:i] + (n,) + w[i:] for w in members for i in range(n))
+        scanned += math.factorial(n)
+        members = []
+        for values in candidates:
             pi = Permutation(values)
-            scanned += 1
             gp0 = find_gridding(pi, m)
             if gp0 is None:
-                skipped_ungriddable += 1
                 continue
-            lett = cache.lettericity(inversion_graph(pi))
+            members.append(values)
+            key = _symmetry_key(values)
+            lett = letts.get(key)
+            if lett is None:
+                lett = letts[key] = cache.lettericity(inversion_graph(pi))
             if lett > r:
                 skipped_lettericity += 1
                 continue
@@ -446,6 +472,7 @@ def class_experiment(
             rows.append(
                 ExperimentRow(pi, lett, cols, nrows, bound_ok, True, universal_ok, oracle_ok)
             )
+        skipped_ungriddable += math.factorial(n) - len(members)
     return ExperimentReport(
         n_max=n_max,
         matrix=m,

@@ -182,12 +182,12 @@ class TestExperiment:
 
         monkeypatch.setattr(pipeline, "find_gridding", counting_find_gridding)
         code = main(
-            ["experiment", "--n-max", "8", "--matrix", x_file, "--letters", "3", "--verify"]
+            ["experiment", "--n-max", "10", "--matrix", x_file, "--letters", "3", "--verify"]
         )
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "capped at length 7" in err
+        assert "capped at length 9" in err
         assert calls == []
 
     @pytest.mark.parametrize("n_max, letters", [("3", "0"), ("-1", "3")])

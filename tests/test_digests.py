@@ -5,7 +5,8 @@ order is part of their contract, so it does not depend on PYTHONHASHSEED
 (CI runs this module under two hash seeds):
 
 - the repr, TSV and summary of `class_experiment(7, X, 3, True)`, from the
-  session's one n = 7 sweep (the `x_sweep_7` fixture in conftest.py);
+  session's one n = 7 sweep (the `x_sweep_7` fixture in conftest.py), and
+  of `class_experiment(8, X, 3, True)` (about 5 s);
 - the repr, TSV and summary of `class_experiment(6, V, 4)` and
   `class_experiment(6, FAN, 4)`;
 - every `geometrize` result, or its error type and message, for every
@@ -53,6 +54,7 @@ LADDER_NON_MEMBERS = (
 
 DIGESTS = {
     "class_experiment_7_X_3": "85476da6f9f6de898c5e89e913d513597d5461eba2020edbd9a7e013ec67ee78",
+    "class_experiment_8_X_3": "d7bc0f52bade0a76a0524d4f2a750b8f5b89d4087b38e9c5bba87dd4b54263fd",
     "class_experiment_6_V_FAN_4": "ecb1941a9b1fee97969f0b99822a86adc400186a823d54bafe37d83f179bb7e6",
     "geometrize_upto_6": "7dd298f0fe1e922c445e27eecfe5650c5b576a22bdb1815e78c601523a5afec3",
     "griddings_upto_6": "4c77e8004bdca067549d5b6052fd94270c90d9fa19712b799bd0054a9b529cbe",
@@ -145,6 +147,11 @@ def test_class_experiment_digest(x_sweep_7):
     assert digest(report_text(report)) == DIGESTS["class_experiment_7_X_3"]
 
 
+def test_class_experiment_8_digest(x_matrix):
+    report = class_experiment(8, x_matrix, 3, verify_with_oracle=True)
+    assert digest(report_text(report)) == DIGESTS["class_experiment_8_X_3"]
+
+
 def test_v_fan_class_experiment_digest():
     assert digest(v_fan_reports_text()) == DIGESTS["class_experiment_6_V_FAN_4"]
 
@@ -167,6 +174,7 @@ def test_letterings_digest():
 
 if __name__ == "__main__":
     print("class_experiment_7_X_3", digest(report_text(class_experiment(7, X, 3, True))))
+    print("class_experiment_8_X_3", digest(report_text(class_experiment(8, X, 3, True))))
     print("class_experiment_6_V_FAN_4", digest(v_fan_reports_text()))
     print("geometrize_upto_6", digest(geometrize_text()))
     print("griddings_upto_6", digest(griddings_text()))

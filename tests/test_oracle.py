@@ -104,7 +104,7 @@ class TestGeomMemberOracle:
 
     def test_cap(self, one_cell):
         with pytest.raises(ValueError):
-            geom_member_oracle(Permutation(tuple(range(1, 9))), one_cell)
+            geom_member_oracle(Permutation(tuple(range(1, 11))), one_cell)
 
 
 def product_sign_vectors(m):

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -56,6 +57,41 @@ def row_drawing(pi, m, r, cache=None):
     cache = LetteringCache() if cache is None else cache
     (_, signed, *_), gridded, d, nums = pipeline._geometrize_gridding(gp0, r, cache, {})
     return gridded, signed, d, nums
+
+
+@functools.cache
+def plain_scan(n_max, m):
+    """The S_n scan, n = 1..n_max: the count scanned, the count with no
+    m-gridding, and each member with its lettericity, in scan order."""
+    scanned = ungriddable = 0
+    members = []
+    for n in range(1, n_max + 1):
+        for pi in perms_of(n):
+            scanned += 1
+            if find_gridding(pi, m) is None:
+                ungriddable += 1
+            else:
+                members.append((pi, letters.lettericity(inversion_graph(pi))))
+    return scanned, ungriddable, members
+
+
+def symmetry_images(values):
+    """The images of a permutation under the eight symmetries of the square."""
+    n = len(values)
+
+    def inverse(v):
+        return tuple(sorted(range(1, n + 1), key=lambda i: v[i - 1]))
+
+    def reverse(v):
+        return tuple(reversed(v))
+
+    def complement(v):
+        return tuple(n + 1 - x for x in v)
+
+    images = []
+    for v in (values, inverse(values)):
+        images += [v, reverse(v), complement(v), reverse(complement(v))]
+    return images
 
 
 def skew_merged_upto(n_max, x_matrix):
@@ -697,7 +733,7 @@ class TestClassExperiment:
         assert class_experiment(6, x_matrix, 3, verify_with_oracle=True).ok
         assert calls == {"verify_letterization": 0, "SignedMatrix": 0}
 
-    def test_one_gridding_search_per_permutation(self, x_matrix, monkeypatch):
+    def test_only_extensions_of_members_are_searched_once_each(self, x_matrix, monkeypatch):
         calls = []
 
         def counting_find_gridding(pi, m):
@@ -707,7 +743,67 @@ class TestClassExperiment:
         monkeypatch.setattr(pipeline, "find_gridding", counting_find_gridding)
         report = class_experiment(5, x_matrix, 3)
         assert report.rows
-        assert len(calls) == report.scanned
+        assert len(set(calls)) == len(calls) < report.scanned
+
+    def test_searches_and_lettericities_at_n6(self, x_matrix, monkeypatch):
+        # The S_6 scan made 873 gridding searches and 457 filter lettericities;
+        # extending members searches 659 candidates, and the 457 members with
+        # at most 3 letters fall into 79 symmetry classes.
+        calls = {"find_gridding": 0, "lettericity": 0}
+        lettericity = LetteringCache.lettericity
+
+        def counting_find_gridding(pi, m):
+            calls["find_gridding"] += 1
+            return find_gridding(pi, m)
+
+        def counting_lettericity(self, g):
+            calls["lettericity"] += 1
+            return lettericity(self, g)
+
+        monkeypatch.setattr(pipeline, "find_gridding", counting_find_gridding)
+        monkeypatch.setattr(LetteringCache, "lettericity", counting_lettericity)
+        report = class_experiment(6, x_matrix, 3)
+        assert (report.scanned, len(report.rows)) == (873, 457)
+        assert calls == {"find_gridding": 659, "lettericity": 79}
+
+    @pytest.mark.parametrize(
+        "matrix, r",
+        [
+            ("x_matrix", 1),
+            ("x_matrix", 2),
+            ("x_matrix", 3),
+            ("v_matrix", 4),
+            ("fan_matrix", 4),
+            ("non_pmm_matrix", 3),
+        ],
+    )
+    def test_agrees_with_a_plain_scan_of_every_permutation(self, matrix, r, request):
+        # At r = 1 and 2 the X sweep skips 1,784 and 538 members above the
+        # cap; they must still be extended, since their extensions are members
+        # that the counts include.
+        m = request.getfixturevalue(matrix)
+        report = class_experiment(7, m, r)
+        scanned, ungriddable, members = plain_scan(7, m)
+        rows = [(pi, lett) for pi, lett in members if lett <= r]
+        assert (report.scanned, report.skipped_ungriddable, report.skipped_lettericity) == (
+            scanned,
+            ungriddable,
+            len(members) - len(rows),
+        )
+        assert [(row.perm, row.lettericity) for row in report.rows] == rows
+
+    def test_lettericity_is_constant_on_symmetry_classes(self):
+        # The eight images under inverse, reverse and complement share one
+        # key, the least of them, and one lettericity.
+        cache = LetteringCache()
+        orbits = {}
+        for n in range(8):
+            for pi in perms_of(n):
+                images = symmetry_images(pi.values)
+                assert {pipeline._symmetry_key(v) for v in images} == {min(images)}
+                orbits.setdefault(min(images), set()).add(cache.lettericity(inversion_graph(pi)))
+        assert len(orbits) == 1 + 1 + 1 + 2 + 7 + 23 + 115 + 694
+        assert all(len(letts) == 1 for letts in orbits.values())
 
     def test_sweeps_agree_with_every_gridding_validated(
         self, x_matrix, v_matrix, fan_matrix, monkeypatch
