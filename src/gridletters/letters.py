@@ -8,10 +8,11 @@ i < j positions are adjacent in the decoded graph exactly when
 letter x sees each earlier letter-y class whole or not at all, as the
 decoder pair (y, x) says.  `_has_lettering` decides whether at most k
 letters suffice, fixing each pair when a placement first tests it; only at
-the least such size does `_search_word` walk the canonical decoders, so the
-first decoder with a word is the least witness decoder.  Its word is the
-first success of the search in (letter ascending, vertex ascending) order,
-which depends on the vertex labels and need not be the least word.
+the least such size does `_search_word` try decoders, taken lazily and in
+order from `_least_decoders` up to the first with a word: the least witness
+decoder.  Its word is the search's first success in (letter ascending,
+vertex ascending) order: it depends on the vertex labels and need not be
+the least word.
 
 Both searches keep vertex sets as integer masks: per letter, the vertices
 that may take it next.  These masks only narrow, so a child computes its
@@ -30,7 +31,7 @@ import dataclasses
 import functools
 import itertools
 import operator
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import graphs
 from .graphs import SimpleGraph
@@ -84,49 +85,46 @@ def decode_letter_graph(
     return graphs.graph(n, edges)
 
 
-@functools.lru_cache(maxsize=8)
-def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
-    """All decoders over letters 0..k-1, one per letter-renaming orbit.
+def _least_decoders(k: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """The decoders over letters 0..k-1 that are least in their renaming
+    orbits, in the order of their sorted pair tuples (orderly generation:
+    R. C. Read, "Every one a winner", 1978).
 
-    Sorted by their sorted pair tuples; this order fixes the tie-breaking of
-    the lettering search.  Practical for k <= 4 (the 4-letter case has 3,044
-    representatives out of 65,536 subsets); the witness search walks them
-    only at the decided lettericity.
+    Children add one pair above all their parent's, in ascending order, so
+    the pre-order from the empty decoder is sorted.  Keeping only least nodes
+    loses none, as the rest R of a least decoder D less its greatest pair m
+    is least: were s(R) < R for a renaming s, differing first at q in s(R),
+    then R, as large as s(R) and equal to it below q, has a pair above q, so
+    m > q; and s(m) if below q, else q, is the first pair where s(D) and D
+    differ and lies in s(D), so s(D) < D.
     """
-    # Pair (i, j) is bit i*k + j, so sorted pairs compare as ascending bit
-    # indices.  A renaming maps a mask one byte at a time, through a table of
-    # the images of the 256 values of that byte.  Each orbit is walked once;
-    # its members have equal bit counts, so the least holds the lowest bit in
-    # which it differs from each other.
-    renamings = []
-    for sig in itertools.permutations(range(k)):
-        images = [1 << (sig[b // k] * k + sig[b % k]) for b in range(k * k)]
-        by_byte = []
-        for shift in range(0, k * k, 8):
-            table = [0] * min(256, 1 << (k * k - shift))
-            for c in range(1, len(table)):
-                low = c & -c
-                table[c] = table[c ^ low] | images[shift + low.bit_length() - 1]
-            by_byte.append((shift, table))
-        renamings.append(by_byte)
-    pairs = [(b // k, b % k) for b in range(k * k)]
-    seen = bytearray(1 << (k * k))
-    reps = []
-    for mask in range(1 << (k * k)):
-        if seen[mask]:
-            continue
-        best = mask
-        for by_byte in renamings:
-            mapped = 0
-            for shift, table in by_byte:
-                mapped |= table[mask >> shift & 255]
-            seen[mapped] = 1
-            diff = mapped ^ best
-            if diff & -diff & mapped:
-                best = mapped
-        reps.append(frozenset(p for b, p in enumerate(pairs) if best >> b & 1))
-    reps.sort(key=sorted)
-    return tuple(reps)
+    # Pair (i, j) is bit n-1 - (i*k + j) of a mask, so of two sets of equal
+    # size (orbit members are), the one less by sorted pairs has the greater
+    # mask; moves[b][r] is the bit of pair b under renaming r.
+    n = k * k
+    pairs = [(b // k, b % k) for b in range(n)]
+    bits = [1 << (n - 1 - b) for b in range(n)]
+    renamings = list(itertools.permutations(range(k)))
+    moves = [[bits[s[i] * k + s[j]] for s in renamings] for i, j in pairs]
+    chosen: list[tuple[int, int]] = []
+
+    def grow(mask: int, images: list[int], first: int) -> Iterator[frozenset[tuple[int, int]]]:
+        yield frozenset(chosen)
+        for b in range(first, n):
+            child_images = list(map(operator.or_, images, moves[b]))
+            if max(child_images) == mask | bits[b]:
+                chosen.append(pairs[b])
+                yield from grow(mask | bits[b], child_images, b + 1)
+                chosen.pop()
+
+    yield from grow(0, [0] * len(renamings), 0)
+
+
+def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    """All decoders over letters 0..k-1, one per renaming orbit: the least,
+    in sorted-pair order, as the lettering search walks them lazily.  The
+    whole tuple is practical for k <= 4 (3,044 decoders of 65,536 subsets)."""
+    return tuple(_least_decoders(k))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -303,7 +301,7 @@ class LetteringCache:
     Classes are keyed by the certificate of `graphs.canonical_form`, whose
     search also gives the vertex orbits that prune the lettering searches.
     The size is decided first, by ascending `_has_lettering` checks; only a
-    witness query then walks the canonical decoders of that one size.
+    witness query then walks the least decoders of that one size.
     Answers are exactly those of a search on the graph itself: a known
     witness decoder is rerun on the queried graph, so its word and iso are
     the graph's own.  A cache is plain per-caller state; share one only
@@ -339,7 +337,7 @@ class LetteringCache:
         if rec.decoder is None:
             # No smaller size has a lettering, so the first decoder of this
             # size with a word is the least witness decoder.
-            for decoder in canonical_decoders(size):
+            for decoder in _least_decoders(size):
                 found = _search_word(g, size, decoder)
                 if found is not None:
                     rec.decoder = decoder

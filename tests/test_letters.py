@@ -330,6 +330,7 @@ class TestLetteringCache:
 
         monkeypatch.setattr(letters, "_search_word", counting(_search_word))
         monkeypatch.setattr(letters, "canonical_decoders", counting(canonical_decoders))
+        monkeypatch.setattr(letters, "_least_decoders", counting(letters._least_decoders))
         cache = LetteringCache()
         for g in (family("path", 8), family("mK2", 4), family("cycle", 6)):
             cache.lettericity(g)
@@ -341,6 +342,26 @@ class TestLetteringCache:
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
             LetteringCache().find_lettering(family("path", 3), 0)
+
+    def test_witness_walk_is_lazy(self, monkeypatch):
+        # The walk stops at the first decoder with a word and never builds
+        # the whole tuple of decoders.
+        tuples, searches = [], []
+
+        def counting_tuple(k):
+            tuples.append(k)
+            return canonical_decoders(k)
+
+        def counting_search(*args):
+            searches.append(args[2])
+            return _search_word(*args)
+
+        monkeypatch.setattr(letters, "canonical_decoders", counting_tuple)
+        monkeypatch.setattr(letters, "_search_word", counting_search)
+        lz = LetteringCache().find_lettering(family("mK2", 4), 4)
+        assert lz is not None and len(lz.alphabet) == 4
+        assert tuples == []
+        assert len(searches) == 637
 
 
 class TestCanonicalDecoders:
@@ -360,6 +381,15 @@ class TestCanonicalDecoders:
         for k in range(5):
             assert canonical_decoders(k) == tuple(sorted(oracle._decoder_reps(k), key=sorted))
         assert len(canonical_decoders(4)) == 3044
+
+    def test_five_letter_prefix_is_least_and_ascending(self):
+        # Brute force, no table: each decoder against its 120 renamed images.
+        prefix = list(itertools.islice(letters._least_decoders(5), 300))
+        keys = [sorted(dec) for dec in prefix]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for dec, key in zip(prefix, keys):
+            for s in itertools.permutations(range(5)):
+                assert key <= sorted((s[i], s[j]) for i, j in dec), (dec, s)
 
 
 def reference_twin_classes(g):
