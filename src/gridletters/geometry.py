@@ -16,6 +16,7 @@ cell is the corner both orientations point away from.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
@@ -95,7 +96,8 @@ def consistency(lo: LocalOrders) -> Optional[tuple[int, ...]]:
     psi[i-1] is the rank of index i; smallest available index first, so the
     extension is deterministic.  Each index lies in one chain per axis.
     """
-    return _extension(lo.n, _successors(lo.n, lo.column_chains), _successors(lo.n, lo.row_chains))
+    cols, rows = _successors(lo.n, lo.column_chains), _successors(lo.n, lo.row_chains)
+    return _extension(lo.n, cols, rows)[0]
 
 
 def _successors(n: int, chains: Iterable[Sequence[int]]) -> Successors:
@@ -107,9 +109,12 @@ def _successors(n: int, chains: Iterable[Sequence[int]]) -> Successors:
     return succ, indeg
 
 
-def _extension(n: int, cols: Successors, rows: Successors) -> Optional[tuple[int, ...]]:
-    # The one consistency kernel.  An edge in a column and a row chain is
-    # counted and released twice, which leaves psi as if it were there once.
+def _extension(
+    n: int, cols: Successors, rows: Successors
+) -> tuple[Optional[tuple[int, ...]], Optional[list]]:
+    # The one consistency kernel: (psi, None), or (None, a cycle of edges
+    # (axis, a, b), a -> b on axis 0 = column, 1 = row).  An edge in a column
+    # and a row chain is counted and released twice, as if it were there once.
     (col_succ, col_indeg), (row_succ, row_indeg) = cols, rows
     indeg = list(map(operator.add, col_indeg, row_indeg))
     heap = [i for i in range(1, n + 1) if not indeg[i]]  # ascending, so a heap
@@ -124,7 +129,22 @@ def _extension(n: int, cols: Successors, rows: Successors) -> Optional[tuple[int
                 indeg[b] -= 1
                 if not indeg[b]:
                     heapq.heappush(heap, b)
-    return tuple(psi) if rank == n else None
+    if rank == n:
+        return tuple(psi), None
+    # The indices left keep an in-degree, so each has an edge from another
+    # index left (indeg[0] is 0); walking those edges back repeats an index.
+    back = [None] * (n + 1)
+    for axis, succ in ((1, row_succ), (0, col_succ)):  # column edges win: cheaper to test
+        for a in range(1, n + 1):
+            if indeg[a] and indeg[succ[a]]:
+                back[succ[a]] = axis, a
+    walk, seen, b = [], {}, indeg.index(max(indeg))
+    while b not in seen:
+        seen[b] = len(walk)
+        axis, a = back[b]
+        walk.append((axis, a, b))
+        b = a
+    return None, walk[seen[b]:]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,21 +352,39 @@ def geom_witness(pi: Permutation, m: GridMatrix) -> Optional[Realization]:
     consistent pair is built into a gridding, drawn with the psi the kernel
     found.
 
+    A pair that still has every edge of the last cycle the kernel found is
+    skipped unbuilt, a column edge read off the column successors and a row
+    edge a -> b off the row divisions (pi(a), pi(b) adjacent in one row, in
+    its sign).  Its union holds that cycle, so it has no linear extension.
+
     One sign vector suffices.  Each entry's column and row lie in one
     connected component of the nonzero pattern, so the local orders split
     by component, and another sign vector only reverses every chain of some
     components, which keeps the union acyclic or not.
     """
     signs = pmm_signs(m) or pmm_signs(double(m))
-    work = signs.matrix
+    work, values = signs.matrix, pi.values
     n = len(pi)
     position = position_table(pi)
+    cycle = []
+
+    def in_row(rdivs, v, w):  # values one apart: w follows v in their row's chain
+        r = bisect.bisect_right(rdivs, v)
+        return r == bisect.bisect_right(rdivs, w) and signs.row_signs[r - 1] == w - v
+
     for cdivs, rows in _divisions(pi, work):
         cols = _successors(n, _chains(range(n + 1), cdivs, signs.col_signs))
         for rdivs in rows:
-            psi = _extension(n, cols, _successors(n, _chains(position, rdivs, signs.row_signs)))
+            if cycle and all(
+                in_row(rdivs, values[a - 1], values[b - 1]) if axis else cols[0][a] == b
+                for axis, a, b in cycle
+            ):
+                continue
+            row_succ = _successors(n, _chains(position, rdivs, signs.row_signs))
+            psi, found = _extension(n, cols, row_succ)
             if psi is not None:
                 return _draw(GriddedPermutation(pi, work, cdivs, rdivs), signs, psi)
+            cycle = found
     return None
 
 

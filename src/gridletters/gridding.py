@@ -12,6 +12,8 @@ must be increasing, decreasing, or absent as the matrix entry dictates.
 
 Griddings are searched in lexicographic order, with the cuts of both axes
 bounded by how far each column and each row can reach (see `_divisions`).
+A column's reach refills only from each entry it adds, so a long window of
+entries that keep their cells costs time linear in its length.
 """
 from __future__ import annotations
 
@@ -183,13 +185,21 @@ def divisions_of_cells(
     )
 
 
-def _cuts(parts: int, n: int, fit: Callable[[int, int], int]) -> Iterator[tuple[int, ...]]:
+def _cuts(parts: int, n: int, fit: Callable[..., int], *args) -> Iterator[tuple[int, ...]]:
     """Division tuples (1, d_2, ..., d_parts, n+1), lexicographically, with
-    d_{j+1} <= fit(j, d_j): the greatest b such that line j alone can take
-    a..b-1.  Fitting is hereditary, so fit grows with a, and lines j..parts
-    can cover a..n iff a >= first[j], the least a with fit(j, a) >= first[j+1].
+    d_{j+1} <= fit(*args, j, d_j): the greatest b such that line j alone can
+    take a..b-1.  Fitting is hereditary, so fit grows with a, and lines
+    j..parts can cover a..n iff a >= first[j], the least a with
+    fit(j, a) >= first[j+1].  An odometer walks the tuples; each fit is
+    computed once.
     """
-    reach = functools.cache(fit)
+    memo = [[0] * (n + 2) for _ in range(parts + 1)]
+
+    def reach(l: int, a: int) -> int:
+        if not memo[l][a]:
+            memo[l][a] = fit(*args, l, a)
+        return memo[l][a]
+
     top = 1
     for l in range(1, parts + 1):
         top = reach(l, top)
@@ -197,17 +207,25 @@ def _cuts(parts: int, n: int, fit: Callable[[int, int], int]) -> Iterator[tuple[
         return
     first = [n + 1] * (parts + 2)
     for l in range(parts, 0, -1):
-        first[l] = 1 + bisect.bisect_left(range(1, n + 2), first[l + 1], key=lambda a: reach(l, a))
-
-    def cuts(l: int, a: int) -> Iterator[tuple[int, ...]]:
-        if l > parts:
-            yield (a,)
+        lo, hi = 1, first[l + 1]  # fit(l, a) >= a, so first[l] <= first[l + 1]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reach(l, mid) >= first[l + 1] else (mid + 1, hi)
+        first[l] = lo
+    # The odometer: divs[parts] is n+1, and each divs[j] before it runs over
+    # [max(divs[j-1], first[j+1]), fit(j, divs[j-1])], nonempty as divs[j-1] >= first[j].
+    divs, stop = [1] * parts + [n + 1], [0] * (parts + 1)
+    l = 0
+    while True:
+        for j in range(l + 1, parts):
+            divs[j], stop[j] = max(divs[j - 1], first[j + 1]), reach(j, divs[j - 1])
+        yield tuple(divs)
+        l = parts - 1
+        while l > 0 and divs[l] == stop[l]:
+            l -= 1
+        if l < 1:
             return
-        for b in range(max(a, first[l + 1]), reach(l, a) + 1):
-            for rest in cuts(l + 1, b):
-                yield (a,) + rest
-
-    yield from cuts(1, 1)
+        divs[l] += 1
 
 
 def _row_divisions(
@@ -235,28 +253,36 @@ def _row_divisions(
 def _col_reach(m: GridMatrix, pi: Permutation, position: Sequence[int], k: int, a: int) -> int:
     """The greatest b such that entries a..b-1, by increasing value, fill the
     nonzero cells of column k bottom to top: an entry stays in the current
-    cell while it keeps the cell's sign, and otherwise opens the next one."""
-    signs, values = [s for s in m.entries[k - 1] if s], []
+    cell while it keeps the cell's sign, and otherwise opens the next one.
+    A new entry refills from its value up to the first entry that keeps its
+    cell, as the fill above an entry depends only on its cell and position."""
+    signs = [0] + [s for s in m.entries[k - 1] if s]  # signs[c] of cell c; 0 before any
+    values, cells = [], []  # the window's values ascending, and the cell of each
     for b in range(a, len(pi) + 1):
-        bisect.insort(values, pi.values[b - 1])
-        used, s, last = 0, 0, 0
-        for v in values:
-            q = position[v]
-            if (q - last) * s <= 0:
-                if used == len(signs):
+        j = bisect.bisect(values, pi.values[b - 1])
+        values.insert(j, pi.values[b - 1])
+        cells.insert(j, 0)
+        c, last = (cells[j - 1], position[values[j - 1]]) if j else (0, 0)
+        for i in range(j, len(values)):
+            q = position[values[i]]
+            if (q - last) * signs[c] <= 0:
+                if c == len(signs) - 1:
                     return b
-                s, used = signs[used], used + 1
-            last = q
+                c += 1
+            if cells[i] == c:
+                break
+            cells[i], last = c, q
     return len(pi) + 1
 
 
 def _divisions(pi: Permutation, m: GridMatrix) -> Iterator[tuple[tuple[int, ...], Iterator]]:
     """(col_divs, row_divs iterator) of every valid gridding, lexicographically:
     the column tuples `_cuts` allows by `_col_reach`, each with its
-    `_row_divisions`.  A column reach costs O(n^2) at most, and a column
-    tuple O(u n^2), plus output."""
+    `_row_divisions`.  A column reach costs, per entry it adds, two list
+    inserts and a refill that runs until an entry keeps its cell: O(n) at
+    worst, O(1) along a monotone run.  A row reach costs O(n)."""
     position = position_table(pi)
-    for cdivs in _cuts(m.cols, len(pi), functools.partial(_col_reach, m, pi, position)):
+    for cdivs in _cuts(m.cols, len(pi), _col_reach, m, pi, position):
         column = [0] + [bisect.bisect_right(cdivs, i) for i in position[1:]]
         yield cdivs, _row_divisions(m, position, column)
 

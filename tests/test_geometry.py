@@ -1,14 +1,20 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridletters import geometry
 from gridletters.geometry import (
     CellWord,
     LocalOrders,
     Realization,
     _as_points,
+    _extension,
+    _successors,
     _word_points,
     check_realization,
     consistency,
@@ -27,6 +33,7 @@ from gridletters.geometry import (
 from gridletters.gridding import (
     GriddedPermutation,
     SignedMatrix,
+    _divisions,
     all_griddings,
     divisions_of_cells,
     double,
@@ -47,6 +54,7 @@ from gridletters.perm import (
     position_table,
 )
 from gridletters.pipeline import geometrize
+from test_gridding import ALTERNATING, random_member
 
 P = parse_permutation
 
@@ -411,6 +419,90 @@ class TestGeomMember:
                         sub = tuple(letters[p] for p in positions)
                         u_perm = decode_word(CellWord(m, sub), signs).perm
                         assert contains(w_perm, u_perm)
+
+
+# The four geom_member queries of perfbench's gridding_ladder workload, over
+# universal_matrix(2, 2); the third has 1,604 division pairs, none consistent.
+LADDER_GEOM_QUERIES = (
+    ((4, 10, 11, 5, 9, 12, 7, 6, 1, 3, 2, 8), True),
+    ((8, 12, 9, 6, 4, 11, 3, 13, 5, 2, 10, 1, 7), True),
+    ((8, 1, 10, 4, 2, 9, 11, 5, 7, 12, 3, 6), False),
+    ((10, 1, 3, 13, 2, 5, 12, 6, 4, 8, 7, 9, 11), False),
+)
+
+
+def first_consistent_drawing(pi, m):
+    """The reference search: every division pair in order, each built into a
+    gridding and tested by `consistency`, none skipped."""
+    signs = pmm_signs(m) or pmm_signs(double(m))
+    for cdivs, rows in _divisions(pi, signs.matrix):
+        for rdivs in rows:
+            gp = GriddedPermutation(pi, signs.matrix, cdivs, rdivs)
+            if consistency(local_orders(gp, signs)) is not None:
+                return realize(gp, signs)
+    return None
+
+
+class TestCycleRefutation:
+    def test_witness_is_the_first_consistent_pair(self, x_matrix, fan_matrix):
+        u = universal_matrix(2, 2)
+        queries = [(Permutation(values), u, member) for values, member in LADDER_GEOM_QUERIES]
+        rng = random.Random(36)
+        for m in (u, x_matrix, fan_matrix, ALTERNATING):
+            signs, cells = pmm_signs(m), m.nonzero_cells()
+            for n in range(8, 14):
+                word = CellWord(m, tuple(rng.choice(cells) for _ in range(n)))
+                queries.append((decode_word(word, signs).perm, m, True))
+                queries += [(random_member(rng, m, n), m, None) for _ in range(6)]
+        verdicts = []
+        for pi, m, member in queries:
+            want, got = first_consistent_drawing(pi, m), geom_witness(pi, m)
+            verdicts.append(got is not None)
+            assert member is None or verdicts[-1] == member, pi
+            if want is None:
+                assert got is None, (pi, m)
+            else:
+                # Gridded permutations compare by their divisions.
+                assert (got.gridded, got.points) == (want.gridded, want.points), (pi, m)
+        assert sum(verdicts) >= 40 and verdicts.count(False) >= 20
+
+    @given(st.integers(0, 2**32), st.integers(4, 11), st.sampled_from(range(3)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_cycle_found_is_a_cycle_of_the_union(self, seed, n, which):
+        m = (universal_matrix(2, 2), from_display_rows([(-1, 1), (1, -1)]), ALTERNATING)[which]
+        signs = pmm_signs(m)
+        pi = random_member(random.Random(seed), m, n)
+        for gp in itertools.islice(iter_griddings(pi, m), 200):
+            lo = local_orders(gp, signs)
+            cols, rows = _successors(n, lo.column_chains), _successors(n, lo.row_chains)
+            psi, cycle = _extension(n, cols, rows)
+            assert psi == consistency(lo)
+            if psi is not None:
+                assert cycle is None
+                continue
+            edges = [
+                {pair for chain in chains for pair in itertools.pairwise(chain)}
+                for chains in (lo.column_chains, lo.row_chains)
+            ]
+            assert cycle and all((a, b) in edges[axis] for axis, a, b in cycle), (pi, gp)
+            heads = [a for _, a, _ in cycle]
+            assert len(set(heads)) == len(cycle)
+            assert [b for _, _, b in cycle] == heads[-1:] + heads[:-1], (pi, gp, cycle)
+
+    def test_kernel_runs_on_the_ladder_non_member(self, monkeypatch):
+        # 353 of its 1,604 pairs reach the kernel; every other pair still
+        # holds the last cycle found.
+        runs = []
+        kernel = geometry._extension
+
+        def counted(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(geometry, "_extension", counted)
+        pi = Permutation(LADDER_GEOM_QUERIES[2][0])
+        assert geom_witness(pi, universal_matrix(2, 2)) is None
+        assert len(runs) == 353
 
 
 class TestDoubleDouble:

@@ -263,6 +263,29 @@ class TestColumnReach:
         assert find_gridding(P("3142"), ALTERNATING) is not None and calls
 
 
+class CountingList(list):
+    """A list that counts the entries read through indexing."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class TestColumnReachSteps:
+    def test_identity_column_fill_reads_linearly_many_positions(self, v_matrix):
+        # Each new entry refills from its own value up and stops at the first
+        # entry that keeps its cell, so a long increasing window costs O(L)
+        # reads, not one full refill of L/2 reads on average per entry.
+        n = 1000
+        pi = Permutation(tuple(range(1, n + 1)))
+        for m in (grid_matrix([[1]]), v_matrix):
+            position = CountingList(position_table(pi))
+            assert _col_reach(m, pi, position, 1, 1) == n + 1
+            assert position.reads <= 3 * n, (m, position.reads)
+
+
 class TestAllGriddings:
     def test_single_point(self, one_cell):
         every = all_griddings(P("1"), one_cell)
