@@ -17,11 +17,14 @@ the least word.
 Both searches keep vertex sets as integer masks: per letter, the vertices
 that may take it next.  These masks only narrow, so a child computes its
 own from its parent's with one AND per letter, and the parent drops a child
-that leaves an unplaced vertex fitting no letter before calling it.
+that leaves an unplaced vertex fitting no letter before calling it.  Both
+read one board per query: the graph's own adjacency masks
+(`SimpleGraph.masks`), its twin classes and its orbits' least vertices.
 
 `LetteringCache` keeps, per isomorphism class (one `graphs.canonical_form`
 certificate), the sizes known to fail, the decided size and the witness
 decoder; a later graph of the class reruns only that one word search.
+Nothing else outlives a query, so two equal queries do equal work.
 `find_lettering` and `lettericity` are the same lookups on a fresh cache.
 """
 from __future__ import annotations
@@ -37,6 +40,7 @@ from . import graphs
 from .graphs import SimpleGraph
 
 LETTER_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
+_Board = tuple[tuple[int, ...], tuple[int, ...], int]  # what `_board` returns
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,13 +131,13 @@ def canonical_decoders(k: int) -> tuple[frozenset[tuple[int, int]], ...]:
     return tuple(_least_decoders(k))
 
 
-@functools.lru_cache(maxsize=1024)
-def _prune_masks(g: SimpleGraph) -> tuple[tuple[int, ...], int]:
-    """Per vertex, the mask of its twin class (twins, true or false, are
-    interchangeable); and the mask of the least vertex of each automorphism
-    orbit, the only ones a first placement needs to try."""
+def _board(g: SimpleGraph) -> _Board:
+    """All both searches read of g: its masks; per vertex, the mask of its
+    twin class (twins, true or false, are interchangeable); and the mask of
+    the least vertex of each automorphism orbit, the only ones a first
+    placement needs to try."""
     n = g.order
-    adj = graphs.adjacency_masks(g)
+    adj = g.masks
     ids = list(range(n))
     for u in range(n):
         for v in range(u + 1, n):
@@ -142,11 +146,11 @@ def _prune_masks(g: SimpleGraph) -> tuple[tuple[int, ...], int]:
                 ids[v] = min(ids[v], ids[u])
     orbit = graphs.vertex_orbits(g)
     same = tuple(sum(1 << u for u in range(n) if ids[u] == i) for i in ids)
-    return same, sum(1 << v for v in range(n) if orbit[v] == v)
+    return adj, same, sum(1 << v for v in range(n) if orbit[v] == v)
 
 
 def _search_word(
-    g: SimpleGraph, k: int, decoder: frozenset[tuple[int, int]]
+    board: _Board, k: int, decoder: frozenset[tuple[int, int]]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """A word over letters 0..k-1 whose letter graph is isomorphic to g,
     together with iso[v-1] = position of vertex v: the first success of the
@@ -162,9 +166,8 @@ def _search_word(
     placed set and fit, so the pair is its memo key.  A child whose fit
     leaves an unplaced vertex fitting no letter is dropped before the call:
     it builds no memo key and is never stored."""
-    n = g.order
-    adj = graphs.adjacency_masks(g)
-    same, first = _prune_masks(g)
+    adj, same, first = board
+    n = len(adj)
     everyone = (1 << n) - 1
     # Placing v with letter y ANDs cut[y][v] into fit, letter by letter.
     ins = [[(y, x) in decoder for x in range(k)] for y in range(k)]
@@ -208,7 +211,7 @@ def _search_word(
     return tuple(x for x, _ in path), tuple(iso)
 
 
-def _has_lettering(g: SimpleGraph, k: int) -> bool:
+def _has_lettering(board: _Board, k: int) -> bool:
     """Whether g has a lettering over at most k letters, with no decoder
     fixed up front: letters enter in order of first occurrence, and the first
     placement that tests a pair (y, x) fixes it.  Classes only grow and pairs
@@ -225,9 +228,8 @@ def _has_lettering(g: SimpleGraph, k: int) -> bool:
     a cans[z] already inside one stays inside it.  The parent skips a child
     that leaves an unplaced vertex outside every live cans: it would only
     fail, so it builds no memo key and is never stored."""
-    n = g.order
-    adj = graphs.adjacency_masks(g)
-    same, first = _prune_masks(g)
+    adj, same, first = board
+    n = len(adj)
     everyone = (1 << n) - 1
     non = [everyone ^ a for a in adj]
     pair = [[1 << (y * k + x) for x in range(k)] for y in range(k)]
@@ -287,9 +289,10 @@ def _has_lettering(g: SimpleGraph, k: int) -> bool:
 class _ClassRecord:
     """Search progress for one isomorphism class: no lettering has `tried`
     or fewer letters; `size` is the lettericity once decided, and `decoder`
-    the least witness decoder at that size once walked."""
+    the least witness decoder at that size once walked.  The checks start at
+    size 0, which only the empty graph has, so it needs no case of its own."""
 
-    tried: int = 0
+    tried: int = -1
     size: Optional[int] = None
     decoder: Optional[frozenset[tuple[int, int]]] = None
 
@@ -301,10 +304,11 @@ class LetteringCache:
     Classes are keyed by the certificate of `graphs.canonical_form`, whose
     search also gives the vertex orbits that prune the lettering searches.
     The size is decided first, by ascending `_has_lettering` checks; only a
-    witness query then walks the least decoders of that one size.
-    Answers are exactly those of a search on the graph itself: a known
-    witness decoder is rerun on the queried graph, so its word and iso are
-    the graph's own.  A cache is plain per-caller state; share one only
+    witness query then walks the least decoders of that one size.  Each
+    query builds one board of the queried graph, which all its searches
+    read.  Answers are exactly those of a search on the graph itself: a
+    known witness decoder is rerun on the queried graph, so its word and iso
+    are the graph's own.  A cache is plain per-caller state; share one only
     within one thread.
     """
 
@@ -314,36 +318,35 @@ class LetteringCache:
     def _record(self, g: SimpleGraph) -> _ClassRecord:
         return self._classes[graphs.canonical_form(g)[0]]
 
-    def _decide(self, g: SimpleGraph, rec: _ClassRecord, k: int) -> bool:
-        # Whether lett(g) <= k, continuing the ascending checks of g's class.
+    def _decide(self, g: SimpleGraph, k: int) -> tuple[_ClassRecord, _Board]:
+        # g's class record, checked up to size k, and this query's one board.
+        rec, board = self._record(g), _board(g)
         if rec.size is None:
             for size in range(rec.tried + 1, min(k, g.order) + 1):
-                if _has_lettering(g, size):
+                if _has_lettering(board, size):
                     rec.size = size
                     break
                 rec.tried = size
-        return rec.size is not None and rec.size <= k
+        return rec, board
 
     def find_lettering(self, g: SimpleGraph, k: int) -> Optional[Letterization]:
         """Same contract and result as the module-level `find_lettering`."""
         if k < 1:
             raise ValueError("need k >= 1")
-        if g.order == 0:
-            return Letterization((), frozenset(), (), ())
-        rec = self._record(g)
-        if not self._decide(g, rec, k):
-            return None
+        rec, board = self._decide(g, k)
         size = rec.size
+        if size is None or size > k:
+            return None
         if rec.decoder is None:
             # No smaller size has a lettering, so the first decoder of this
             # size with a word is the least witness decoder.
             for decoder in _least_decoders(size):
-                found = _search_word(g, size, decoder)
+                found = _search_word(board, size, decoder)
                 if found is not None:
                     rec.decoder = decoder
                     break
         else:
-            found = _search_word(g, size, rec.decoder)
+            found = _search_word(board, size, rec.decoder)
         word_ints, iso = found
         return Letterization(
             alphabet=tuple(LETTER_SYMBOLS[:size]),
@@ -354,12 +357,7 @@ class LetteringCache:
 
     def lettericity(self, g: SimpleGraph) -> int:
         """Same result as the module-level `lettericity`."""
-        if g.order == 0:
-            return 0
-        rec = self._record(g)
-        self._decide(g, rec, g.order)
-        assert rec.size is not None
-        return rec.size
+        return self._decide(g, g.order)[0].size
 
 
 def find_lettering(g: SimpleGraph, k: int) -> Optional[Letterization]:

@@ -200,6 +200,19 @@ class TestExperiment:
         assert "need r >= 1 and n_max >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["grid-check", "--perm", "1"], ["experiment", "--n-max", "2", "--letters", "3"]]
+)
+def test_matrix_line_with_no_entries_is_an_input_error(tmp_path, capsys, argv):
+    # A separator alone is no row, so the file holds no matrix to check.
+    path = tmp_path / "comma.mat"
+    path.write_text(",\n")
+    assert main([*argv, "--matrix", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad matrix line ','" in err
+
+
 class TestRender:
     def test_figure_to_file(self, fan_file, tmp_path):
         svg = tmp_path / "fig.svg"

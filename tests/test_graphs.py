@@ -449,6 +449,10 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_graph("2\n1 5")
 
+    def test_non_integer_edge_token_names_the_line(self):
+        with pytest.raises(ValueError, match="bad edge line '1 x'"):
+            parse_graph("3\n1 x")
+
     def test_rejects_loops_and_bad_edges(self):
         with pytest.raises(ValueError):
             graph(3, [(2, 2)])

@@ -93,6 +93,12 @@ class TestMatrix:
         with pytest.raises(ValueError):
             parse_matrix("1 x\n")
 
+    def test_a_line_with_no_entries_is_rejected(self):
+        # A separator alone is no row, not a row of no columns.
+        for text in (",\n", "1 1\n,\n"):
+            with pytest.raises(ValueError, match="bad matrix line ','"):
+                parse_matrix(text)
+
 
 class TestFindGridding:
     def test_524361_least_gridding_and_alternative_divisions(self, x_matrix):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridletters import letters, oracle
+from gridletters import graphs, letters, oracle
 from gridletters.graphs import (
-    adjacency_masks,
+    SimpleGraph,
     canonical_form,
     complement,
     family,
@@ -19,6 +20,7 @@ from gridletters.letters import (
     LETTER_SYMBOLS,
     LetteringCache,
     Letterization,
+    _board,
     _has_lettering,
     _search_word,
     canonical_decoders,
@@ -217,9 +219,10 @@ def direct_lettering(g, k):
     the first word search that succeeds."""
     if g.order == 0:
         return Letterization((), frozenset(), (), ())
+    board = _board(g)
     for size in range(1, min(k, g.order) + 1):
         for decoder in canonical_decoders(size):
-            found = _search_word(g, size, decoder)
+            found = _search_word(board, size, decoder)
             if found is not None:
                 word, iso = found
                 return Letterization(
@@ -363,6 +366,35 @@ class TestLetteringCache:
         assert tuples == []
         assert len(searches) == 637
 
+    def test_each_query_derives_its_own_board(self, monkeypatch):
+        # Two equal queries do equal work: each derives the orbits once, and
+        # every search of one query reads that query's one board.
+        orbit_calls, boards = [], []
+
+        def counting_orbits(g):
+            orbit_calls.append(g)
+            return vertex_orbits(g)
+
+        def recording(kernel):
+            def wrapped(board, *args):
+                boards[-1].add(id(board))
+                return kernel(board, *args)
+
+            return wrapped
+
+        monkeypatch.setattr(graphs, "vertex_orbits", counting_orbits)
+        monkeypatch.setattr(letters, "_has_lettering", recording(_has_lettering))
+        monkeypatch.setattr(letters, "_search_word", recording(_search_word))
+        p8 = family("path", 8)
+        answers = []
+        for _ in range(2):
+            orbit_calls.clear()
+            boards.append(set())
+            answers.append(find_lettering(p8, 4))
+            assert orbit_calls == [p8]
+            assert len(boards[-1]) == 1
+        assert answers[0] == answers[1] and len(answers[0].alphabet) == 4
+
 
 class TestCanonicalDecoders:
     def test_counts(self):
@@ -395,7 +427,7 @@ class TestCanonicalDecoders:
 def reference_twin_classes(g):
     """Class id per vertex; twins (true or false) are interchangeable."""
     n = g.order
-    adj = adjacency_masks(g)
+    adj = g.masks
     ids = list(range(n))
     for u in range(n):
         for v in range(u + 1, n):
@@ -409,7 +441,7 @@ def reference_search_word(g, k, decoder):
     """The word search vertex by vertex: each move compares a vertex's
     placed neighbours with the letter's required set."""
     n = g.order
-    adj = adjacency_masks(g)
+    adj = g.masks
     twin = reference_twin_classes(g)
     orbit = vertex_orbits(g)
     feeds = [[x for x in range(k) if (y, x) in decoder] for y in range(k)]
@@ -464,7 +496,7 @@ def reference_has_lettering(g, k):
     """The lazy-decoder search vertex by vertex: each move walks the
     classes and checks the vertex sees each one whole or not at all."""
     n = g.order
-    adj = adjacency_masks(g)
+    adj = g.masks
     twin = reference_twin_classes(g)
     orbit = vertex_orbits(g)
     everyone = (1 << n) - 1
@@ -526,12 +558,44 @@ def ladder_scale_graphs():
     return stream
 
 
+def masks_from_edges(g):
+    masks = [0] * g.order
+    for u, v in g.edges:
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return tuple(masks)
+
+
+class TestAdjacencyMasks:
+    def test_every_labelled_graph_to_order_five(self):
+        for n in range(6):
+            for g in small_graphs(n):
+                assert g.masks == masks_from_edges(g), g
+
+    def test_ladder_scale_graphs_and_their_complements(self):
+        for g in ladder_scale_graphs():
+            for h in (g, complement(g)):
+                assert h.masks == masks_from_edges(h), h
+
+    def test_masks_stay_out_of_equality_hash_and_repr(self):
+        g = family("path", 4)
+        assert g.masks == (0b10, 0b101, 0b1010, 0b100)
+        tampered = graph(4, g.edges)
+        object.__setattr__(tampered, "masks", (0, 0, 0, 0))
+        assert tampered == g and hash(tampered) == hash(g)
+        assert repr(g) == "SimpleGraph(order=4, edges=" + repr(g.edges) + ")"
+        with pytest.raises(TypeError):
+            SimpleGraph(2, frozenset(), masks=(0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.masks = (0, 0, 0, 0)
+
+
 class TestMaskKernelsMatchReferences:
     def test_has_lettering_on_small_graphs(self):
         for n in range(6):
             for g in small_graphs(n):
                 for k in range(n + 1):
-                    assert _has_lettering(g, k) == reference_has_lettering(g, k), (g, k)
+                    assert _has_lettering(_board(g), k) == reference_has_lettering(g, k), (g, k)
 
     def test_has_lettering_on_random_graphs(self):
         # Orders 6-9 in turn, each graph with its own edge density.
@@ -543,7 +607,7 @@ class TestMaskKernelsMatchReferences:
             pairs = itertools.combinations(range(1, n + 1), 2)
             g = graph(n, [p for p in pairs if rng.random() < density])
             for k in range(1, 5):
-                answers.append(_has_lettering(g, k))
+                answers.append(_has_lettering(_board(g), k))
                 assert answers[-1] == reference_has_lettering(g, k), (g, k)
         assert True in answers and False in answers
 
@@ -553,13 +617,14 @@ class TestMaskKernelsMatchReferences:
                 for k in range(k_max + 1):
                     for decoder in canonical_decoders(k):
                         expected = reference_search_word(g, k, decoder)
-                        assert _search_word(g, k, decoder) == expected, (g, k, decoder)
+                        assert _search_word(_board(g), k, decoder) == expected, (g, k, decoder)
 
     def test_search_word_along_the_decoder_walk(self):
         # Sizes ascending and decoders in order, up to the first success.
         for g in ladder_scale_graphs():
+            board = _board(g)
             for k, decoder in ((k, d) for k in range(1, 4) for d in canonical_decoders(k)):
-                found = _search_word(g, k, decoder)
+                found = _search_word(board, k, decoder)
                 assert found == reference_search_word(g, k, decoder), (g, k, decoder)
                 if found is not None:
                     break

@@ -1,10 +1,13 @@
-"""The package's lazy exports, and which modules each CLI command imports.
+"""The package's lazy exports, which modules each CLI command imports, and
+its module-level caches.
 
 The import checks run `python -X importtime` in a fresh interpreter and
 read the module names it logs, so a module counts as loaded wherever in
 the process it was first imported.
 """
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +93,23 @@ class TestLazyExports:
         exec("from gridletters import *", namespace)
         del namespace["__builtins__"]
         assert sorted(namespace) == sorted(gridletters.__all__)
+
+
+def test_module_caches_are_the_four_kept_ones():
+    # Each keeps its reason beside it.  A graph's adjacency masks live on the
+    # graph and a lettering query's twin classes and orbits on its own board,
+    # so neither depends on what ran earlier in the process.
+    cached = set()
+    for info in pkgutil.iter_modules(gridletters.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gridletters.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                cached.add(f"{info.name}.{name}")
+    assert cached == {
+        "graphs.canonical_form",
+        "gridding._universal_signs",
+        "oracle._decoder_reps",
+        "oracle._searched",
+    }
