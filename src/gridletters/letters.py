@@ -18,7 +18,7 @@ Both searches keep vertex sets as integer masks: per letter, the vertices
 that may take it next.  These masks only narrow, so a child computes its
 own from its parent's with one AND per letter, and the parent drops a child
 that leaves an unplaced vertex fitting no letter before calling it.  Both
-read one board per query: the graph's own adjacency masks
+read one board per query that searches: the graph's own adjacency masks
 (`SimpleGraph.masks`), its twin classes and its orbits' least vertices.
 
 `LetteringCache` keeps, per isomorphism class (one `graphs.canonical_form`
@@ -135,18 +135,17 @@ def _board(g: SimpleGraph) -> _Board:
     """All both searches read of g: its masks; per vertex, the mask of its
     twin class (twins, true or false, are interchangeable); and the mask of
     the least vertex of each automorphism orbit, the only ones a first
-    placement needs to try."""
-    n = g.order
+    placement needs to try.  Twin classes group equal open (false twins) or
+    closed (true twins) neighbourhoods, and no open one is a closed one; no
+    vertex has twins of both kinds (they would be twins, adjacent and not)."""
     adj = g.masks
-    ids = list(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            strip = ~((1 << u) | (1 << v))
-            if (adj[u] & strip) == (adj[v] & strip):
-                ids[v] = min(ids[v], ids[u])
+    groups: dict[int, int] = collections.defaultdict(int)
+    for v, a in enumerate(adj):
+        groups[a] |= 1 << v
+        groups[a | 1 << v] |= 1 << v
     orbit = graphs.vertex_orbits(g)
-    same = tuple(sum(1 << u for u in range(n) if ids[u] == i) for i in ids)
-    return adj, same, sum(1 << v for v in range(n) if orbit[v] == v)
+    same = tuple(groups[a] | groups[a | 1 << v] for v, a in enumerate(adj))
+    return adj, same, sum(1 << v for v, o in enumerate(orbit) if o == v)
 
 
 def _search_word(
@@ -227,23 +226,24 @@ def _has_lettering(board: _Board, k: int) -> bool:
     every cans[z].  Those halves are disjoint once the class is nonempty, so
     a cans[z] already inside one stays inside it.  The parent skips a child
     that leaves an unplaced vertex outside every live cans: it would only
-    fail, so it builds no memo key and is never stored."""
+    fail, so it builds no memo key and is never stored.  A memo key
+    (placed, full, none, fixed, inside) fixes cans and `used` too, as letter
+    y has a class exactly when full[y] is not everyone."""
     adj, same, first = board
     n = len(adj)
     everyone = (1 << n) - 1
     non = [everyone ^ a for a in adj]
     pair = [[1 << (y * k + x) for x in range(k)] for y in range(k)]
-    failed: set[tuple[tuple[int, ...], int, int]] = set()
+    failed: set[tuple[int, tuple[int, ...], tuple[int, ...], int, int]] = set()
 
-    def extend(placed, classes, full, none, fixed, inside, cans) -> bool:
-        # classes[y] holds the vertices placed with letter y; bit y * k + x of
-        # `fixed` marks the pair (y, x) fixed, and of `inside`, in the decoder.
+    def extend(placed, used, full, none, fixed, inside, cans) -> bool:
+        # Letters 0..used-1 have classes; bit y * k + x of `fixed` marks the
+        # pair (y, x) fixed, and of `inside`, in the decoder.
         if placed == everyone:
             return True
-        key = (classes, fixed, inside)
+        key = (placed, full, none, fixed, inside)
         if key in failed:
             return False
-        used = len(classes)
         for x in range(min(used + 1, k)):
             # One vertex per orbit first, one per twin class and letter.
             can = cans[x] & ~placed if placed else cans[x] & first
@@ -271,7 +271,7 @@ def _has_lettering(board: _Board, k: int) -> bool:
                 child[x] = cx
                 if extend(
                     placed | low,
-                    classes[:x] + (classes[x] | low if x < used else low,) + classes[x + 1 :],
+                    used + (x == used),
                     full[:x] + (fx,) + full[x + 1 :],
                     none[:x] + (nx,) + none[x + 1 :],
                     tested,
@@ -282,7 +282,7 @@ def _has_lettering(board: _Board, k: int) -> bool:
         failed.add(key)
         return False
 
-    return extend(0, (), (everyone,) * k, (everyone,) * k, 0, 0, (everyone,) * k)
+    return extend(0, 0, (everyone,) * k, (everyone,) * k, 0, 0, (everyone,) * k)
 
 
 @dataclasses.dataclass
@@ -304,11 +304,11 @@ class LetteringCache:
     Classes are keyed by the certificate of `graphs.canonical_form`, whose
     search also gives the vertex orbits that prune the lettering searches.
     The size is decided first, by ascending `_has_lettering` checks; only a
-    witness query then walks the least decoders of that one size.  Each
-    query builds one board of the queried graph, which all its searches
-    read.  Answers are exactly those of a search on the graph itself: a
-    known witness decoder is rerun on the queried graph, so its word and iso
-    are the graph's own.  A cache is plain per-caller state; share one only
+    witness query then walks the least decoders of that one size.  A query
+    builds the queried graph's board only to search it, once at most.
+    Answers are exactly those of a search on the graph itself: a known
+    witness decoder is rerun on the queried graph, so its word and iso are
+    the graph's own.  A cache is plain per-caller state; share one only
     within one thread.
     """
 
@@ -318,11 +318,12 @@ class LetteringCache:
     def _record(self, g: SimpleGraph) -> _ClassRecord:
         return self._classes[graphs.canonical_form(g)[0]]
 
-    def _decide(self, g: SimpleGraph, k: int) -> tuple[_ClassRecord, _Board]:
-        # g's class record, checked up to size k, and this query's one board.
-        rec, board = self._record(g), _board(g)
-        if rec.size is None:
-            for size in range(rec.tried + 1, min(k, g.order) + 1):
+    def _decide(self, g: SimpleGraph, k: int) -> tuple[_ClassRecord, Optional[_Board]]:
+        # g's class record, checked up to size k, and the board the checks read.
+        rec, board, top = self._record(g), None, min(k, g.order)
+        if rec.size is None and rec.tried < top:
+            board = _board(g)
+            for size in range(rec.tried + 1, top + 1):
                 if _has_lettering(board, size):
                     rec.size = size
                     break
@@ -337,16 +338,14 @@ class LetteringCache:
         size = rec.size
         if size is None or size > k:
             return None
-        if rec.decoder is None:
-            # No smaller size has a lettering, so the first decoder of this
-            # size with a word is the least witness decoder.
-            for decoder in _least_decoders(size):
-                found = _search_word(board, size, decoder)
-                if found is not None:
-                    rec.decoder = decoder
-                    break
-        else:
-            found = _search_word(board, size, rec.decoder)
+        board = board or _board(g)
+        # No smaller size has a lettering, so the first decoder of this size
+        # with a word is the least witness decoder; the empty one is a witness.
+        for decoder in _least_decoders(size) if rec.decoder is None else (rec.decoder,):
+            found = _search_word(board, size, decoder)
+            if found is not None:
+                rec.decoder = decoder
+                break
         word_ints, iso = found
         return Letterization(
             alphabet=tuple(LETTER_SYMBOLS[:size]),

@@ -12,10 +12,10 @@ The output matrix is a partial multiplication matrix of size at most
 t(1+2ur) x u(1+2tr) for a t x u input gridding and at most r letters.
 
 `class_experiment` searches only the one-point extensions of shorter
-members, finds each lettericity once per symmetry class, shares one
-`letters.LetteringCache` and runs the stages up to psi once per contracted
-gridding (a failing one again for each row that reaches it); each row only
-draws pi, on integers, by `geometry`'s one drawing rule, and reads it back.
+members, decides lettericity up to the cap once per symmetry class, shares
+one `letters.LetteringCache`, runs the stages up to psi once per contracted
+gridding (a failing one again for each row that reaches it), and per row
+only draws pi, on integers, by `geometry`'s drawing rule and reads it back.
 """
 from __future__ import annotations
 
@@ -418,10 +418,11 @@ def class_experiment(
     not, with the value n inserted: the sweep searches those insertions, in
     ascending order.  `scanned` still counts the n! permutations of each
     length n, and every non-member among them counts as not griddable.
-    Lettericity is computed once per class of `_symmetry_key`: inverse and
-    reverse-complement relabel the inversion graph G(pi), and reverse and
-    complement turn it into its complement graph, which the same word letters
-    under the complemented decoder, so all eight images share a lettericity.
+    Lettericity is decided up to r, once per `_symmetry_key` class and
+    length: inverse and reverse-complement relabel the inversion graph G(pi),
+    and reverse and complement turn it into its complement graph, which the
+    same word letters under the complemented decoder, so all eight images
+    share a lettericity.
     The filter's gridding is the one geometrized, so each candidate is
     gridded once; one `LetteringCache` serves the lettericity filter and every
     row, so each isomorphism class of inversion graphs is searched once; and
@@ -439,12 +440,12 @@ def class_experiment(
     cores: dict[GriddedPermutation, tuple] = {}
     rows: list[ExperimentRow] = []
     scanned = skipped_ungriddable = skipped_lettericity = 0
-    letts: dict[tuple[int, ...], int] = {}
     members: list[tuple[int, ...]] = [()]
     for n in range(1, n_max + 1):
         candidates = sorted(w[:i] + (n,) + w[i:] for w in members for i in range(n))
         scanned += math.factorial(n)
         members = []
+        letts: dict[tuple[int, ...], int] = {}  # r + 1 stands for "above r"
         for values in candidates:
             pi = Permutation(values)
             gp0 = find_gridding(pi, m)
@@ -454,7 +455,8 @@ def class_experiment(
             key = _symmetry_key(values)
             lett = letts.get(key)
             if lett is None:
-                lett = letts[key] = cache.lettericity(inversion_graph(pi))
+                size = cache._decide(inversion_graph(pi), r)[0].size
+                lett = letts[key] = r + 1 if size is None else size
             if lett > r:
                 skipped_lettericity += 1
                 continue

@@ -38,14 +38,14 @@ def _svg(width: float, height: float, elements: list[str]) -> str:
     return "\n".join([head, *elements, "</svg>"]) + "\n"
 
 
-def _line(x1, y1, x2, y2, width=1.0, color="black") -> str:
+def _line(x1, y1, x2, y2, width, color="black") -> str:
     return (
         f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
         f'stroke="{color}" stroke-width="{_fmt(width)}" stroke-linecap="round"/>'
     )
 
-def _circle(cx, cy, r, color="black") -> str:
-    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{color}"/>'
+def _circle(cx, cy, r) -> str:
+    return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="black"/>'
 
 
 def _text(x, y, s, size) -> str:
@@ -55,8 +55,8 @@ def _text(x, y, s, size) -> str:
     )
 
 
-def _arrow(x1, y1, x2, y2, width=1.0) -> str:
-    # A short open head drawn as a path at the (x2, y2) end.
+def _arrow(x1, y1, x2, y2) -> str:
+    # A 0.8-wide line with a short open head drawn as a path at the (x2, y2) end.
     dx, dy = x2 - x1, y2 - y1
     norm = (dx * dx + dy * dy) ** 0.5 or 1.0
     ux, uy = dx / norm, dy / norm
@@ -66,25 +66,26 @@ def _arrow(x1, y1, x2, y2, width=1.0) -> str:
     head = (
         f'<path d="M {_fmt(left[0])} {_fmt(left[1])} L {_fmt(x2)} {_fmt(y2)} '
         f'L {_fmt(right[0])} {_fmt(right[1])}" fill="none" stroke="black" '
-        f'stroke-width="{_fmt(width)}"/>'
+        f'stroke-width="0.800"/>'
     )
-    return _line(x1, y1, x2, y2, width) + "\n" + head
+    return _line(x1, y1, x2, y2, 0.8) + "\n" + head
 
 
 class _Canvas:
     """Maps cartesian grid coordinates to SVG pixels (y axis flipped)."""
 
-    def __init__(self, cols: int, rows: int, scale: int, pad: float = 0.6):
+    PAD = 0.6  # grid units of margin on every side
+
+    def __init__(self, cols: int, rows: int, scale: int):
         self.scale = scale
-        self.pad = pad
         self.rows = rows
-        self.width = (cols + 2 * pad) * scale
-        self.height = (rows + 2 * pad) * scale
+        self.width = (cols + 2 * self.PAD) * scale
+        self.height = (rows + 2 * self.PAD) * scale
 
     def xy(self, x, y) -> tuple[float, float]:
         return (
-            (float(x) + self.pad) * self.scale,
-            (self.rows - float(y) + self.pad) * self.scale,
+            (float(x) + self.PAD) * self.scale,
+            (self.rows - float(y) + self.PAD) * self.scale,
         )
 
 
@@ -119,15 +120,11 @@ def render_drawing(r: Realization, spec: RenderSpec) -> str:
     for k in range(1, m.cols + 1):
         sign = r.signs.col_signs[k - 1]
         xa, xb = (k - 1 + 0.1, k - 0.1) if sign == 1 else (k - 0.1, k - 1 + 0.1)
-        p1 = canvas.xy(xa, -0.25)
-        p2 = canvas.xy(xb, -0.25)
-        out.append(_arrow(*p1, *p2, 0.8))
+        out.append(_arrow(*canvas.xy(xa, -0.25), *canvas.xy(xb, -0.25)))
     for l in range(1, m.rows + 1):
         sign = r.signs.row_signs[l - 1]
         ya, yb = (l - 1 + 0.1, l - 0.1) if sign == 1 else (l - 0.1, l - 1 + 0.1)
-        p1 = canvas.xy(-0.25, ya)
-        p2 = canvas.xy(-0.25, yb)
-        out.append(_arrow(*p1, *p2, 0.8))
+        out.append(_arrow(*canvas.xy(-0.25, ya), *canvas.xy(-0.25, yb)))
     for i, (x, y) in enumerate(r.points, start=1):
         cx, cy = canvas.xy(x, y)
         out.append(_circle(cx, cy, spec.scale * 0.05))

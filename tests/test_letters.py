@@ -590,6 +590,22 @@ class TestAdjacencyMasks:
             g.masks = (0, 0, 0, 0)
 
 
+class TestTwinMasks:
+    @staticmethod
+    def reference_masks(g):
+        ids = reference_twin_classes(g)
+        return tuple(sum(1 << u for u, j in enumerate(ids) if j == i) for i in ids)
+
+    def test_every_labelled_graph_to_order_six(self):
+        for n in range(7):
+            for g in small_graphs(n):
+                assert _board(g)[1] == self.reference_masks(g), g
+
+    def test_ladder_scale_graphs(self):
+        for g in ladder_scale_graphs():
+            assert _board(g)[1] == self.reference_masks(g), g
+
+
 class TestMaskKernelsMatchReferences:
     def test_has_lettering_on_small_graphs(self):
         for n in range(6):

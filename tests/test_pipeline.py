@@ -748,23 +748,52 @@ class TestClassExperiment:
     def test_searches_and_lettericities_at_n6(self, x_matrix, monkeypatch):
         # The S_6 scan made 873 gridding searches and 457 filter lettericities;
         # extending members searches 659 candidates, and the 457 members with
-        # at most 3 letters fall into 79 symmetry classes.
+        # at most 3 letters fall into 79 symmetry classes.  The filter's
+        # queries are the size checks that no witness query makes.
         calls = {"find_gridding": 0, "lettericity": 0}
-        lettericity = LetteringCache.lettericity
+        decide, find = LetteringCache._decide, LetteringCache.find_lettering
 
         def counting_find_gridding(pi, m):
             calls["find_gridding"] += 1
             return find_gridding(pi, m)
 
-        def counting_lettericity(self, g):
+        def counting_decide(self, g, k):
             calls["lettericity"] += 1
-            return lettericity(self, g)
+            return decide(self, g, k)
+
+        def uncounting_find(self, g, k):
+            calls["lettericity"] -= 1  # its own one size check
+            return find(self, g, k)
 
         monkeypatch.setattr(pipeline, "find_gridding", counting_find_gridding)
-        monkeypatch.setattr(LetteringCache, "lettericity", counting_lettericity)
+        monkeypatch.setattr(LetteringCache, "_decide", counting_decide)
+        monkeypatch.setattr(LetteringCache, "find_lettering", uncounting_find)
         report = class_experiment(6, x_matrix, 3)
         assert (report.scanned, len(report.rows)) == (873, 457)
         assert calls == {"find_gridding": 659, "lettericity": 79}
+
+    def test_every_board_built_is_searched(self, x_matrix, monkeypatch):
+        # A query that only reads its class record builds no board.
+        # Every built board stays in `built`, so no two share an id.
+        make_board, built, read = letters._board, [], set()
+
+        def recording_board(g):
+            built.append(make_board(g))
+            return built[-1]
+
+        def reading(kernel):
+            def wrapped(board, *args):
+                read.add(id(board))
+                return kernel(board, *args)
+
+            return wrapped
+
+        for name in ("_has_lettering", "_search_word"):
+            monkeypatch.setattr(letters, name, reading(getattr(letters, name)))
+        monkeypatch.setattr(letters, "_board", recording_board)
+        class_experiment(6, x_matrix, 3, verify_with_oracle=True)
+        unread = [board for board in built if id(board) not in read]
+        assert built and not unread, f"{len(unread)} of {len(built)} boards unread"
 
     @pytest.mark.parametrize(
         "matrix, r",
